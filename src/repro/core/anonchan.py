@@ -205,18 +205,18 @@ class AnonChan:
         bits = challenge_bits(challenge, params.num_checks)
 
         # ---- step 3, stage 1: open permutations / index lists --------------
-        stage1_views = []
+        # Stage-1 openings are contiguous in the dealer layout, so each
+        # is a slice of the batch; all of them open as one joined batch.
+        stage1_parts = []
         stage1_slices: list[tuple[int, int, int, int]] = []  # (i, j, lo, hi)
         cursor = 0
         for i in sorted(vss_qualified):
             for j in range(params.num_checks):
-                # Stage-1 openings are contiguous in the dealer layout,
-                # so slice the batch instead of gathering per offset.
                 lo, hi = stage1_slice(layout, j, bits[j])
-                views = dealer_batches[i].views[lo:hi]
-                stage1_views.extend(views)
-                stage1_slices.append((i, j, cursor, cursor + len(views)))
-                cursor += len(views)
+                stage1_parts.append(dealer_batches[i].views[lo:hi])
+                stage1_slices.append((i, j, cursor, cursor + hi - lo))
+                cursor += hi - lo
+        stage1_views = session.join_views(stage1_parts)
         with tr.span("step 3a: cut-and-choose openings", opened=cursor):
             stage1_values = yield from session.open_program(pid, stage1_views)
 
@@ -236,60 +236,47 @@ class AnonChan:
                 decoded[(i, j)] = idx
 
         # ---- step 3, stage 2: open the derived zero-combinations ------------
-        # All kappa copy-checks of one prover run as a single batched
-        # view-difference through the VSS layer (diff_offsets_batch):
-        # per check, bit 0 contributes the 2l differences pi_j(v) - w_j
-        # and bit 1 the alleged-zero passthrough offsets plus the
-        # 2(d-1) consecutive-entry differences.  The blocks are spliced
-        # back in the scalar plan order, so the opened-value stream (and
-        # hence the trace and every disqualification decision) is
-        # identical to the per-view path.
-        stage2_views = []
+        # Per check, bit 0 opens the 2l differences pi_j(v) - w_j and
+        # bit 1 the alleged-zero passthroughs plus the 2(d-1)
+        # consecutive-entry differences.  Each prover's passthroughs and
+        # differences are one VSS-layer call each (gather_views,
+        # diff_offsets_batch); their slices are joined back in the plan
+        # order, so the opened-value stream (and hence the trace and
+        # every disqualification decision) is that of the per-view path.
+        stage2_parts = []
         stage2_slices = []
         cursor = 0
         for i in sorted(passed):
             batch = dealer_batches[i]
-            blocks: list[tuple[str, Any]] = []
+            plan: list[tuple[int, int, int]] = []  # (j, passthroughs, diffs)
+            pass_offs: list[np.ndarray] = []
             diff_a: list[np.ndarray] = []
             diff_b: list[np.ndarray] = []
-            spans: list[tuple[int, int]] = []  # (j, view count)
             for j in range(params.num_checks):
                 if bits[j] == 0:
-                    offs_a, offs_b = stage2_offsets_bit0(
-                        layout, j, decoded[(i, j)]
-                    )
-                    blocks.append(("diff", len(offs_a)))
-                    diff_a.append(offs_a)
-                    diff_b.append(offs_b)
-                    spans.append((j, len(offs_a)))
+                    passthrough = np.zeros(0, dtype=np.int64)
+                    offs_a, offs_b = stage2_offsets_bit0(layout, j, decoded[(i, j)])
                 else:
                     passthrough, offs_a, offs_b = stage2_offsets_bit1(
                         layout, j, decoded[(i, j)]
                     )
-                    blocks.append(("pass", passthrough))
-                    blocks.append(("diff", len(offs_a)))
-                    diff_a.append(offs_a)
-                    diff_b.append(offs_b)
-                    spans.append((j, len(passthrough) + len(offs_a)))
-            diffs = (
-                session.diff_offsets_batch(
-                    batch, np.concatenate(diff_a), np.concatenate(diff_b)
-                )
-                if diff_a
-                else []
+                plan.append((j, len(passthrough), len(offs_a)))
+                pass_offs.append(passthrough)
+                diff_a.append(offs_a)
+                diff_b.append(offs_b)
+            passthroughs = session.gather_views(batch, np.concatenate(pass_offs))
+            diffs = session.diff_offsets_batch(
+                batch, np.concatenate(diff_a), np.concatenate(diff_b)
             )
-            done = 0
-            for kind, payload in blocks:
-                if kind == "pass":
-                    stage2_views.extend(
-                        batch.views[int(o)] for o in payload
-                    )
-                else:
-                    stage2_views.extend(diffs[done : done + payload])
-                    done += payload
-            for j, length in spans:
-                stage2_slices.append((i, j, cursor, cursor + length))
-                cursor += length
+            p_done = d_done = 0
+            for j, num_pass, num_diff in plan:
+                stage2_parts.append(passthroughs[p_done : p_done + num_pass])
+                stage2_parts.append(diffs[d_done : d_done + num_diff])
+                p_done += num_pass
+                d_done += num_diff
+                stage2_slices.append((i, j, cursor, cursor + num_pass + num_diff))
+                cursor += num_pass + num_diff
+        stage2_views = session.join_views(stage2_parts)
         with tr.span("step 3b: cut-and-choose verification", opened=cursor):
             stage2_values = yield from session.open_program(pid, stage2_views)
         for i, j, lo, hi in stage2_slices:
@@ -338,7 +325,7 @@ class AnonChan:
             with tr.span("step 4b: private transfer"):
                 inbox = yield RoundOutput.silent()
             if pass_sorted:
-                collected: dict[int, list] = {pid: payloads}
+                collected: dict[int, Any] = {pid: payloads}
                 collected.update(
                     collect_step4_columns(
                         inbox.private, len(payloads), pid, n

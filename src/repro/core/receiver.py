@@ -11,6 +11,7 @@ from collections import Counter
 from typing import Any, Mapping, Sequence
 
 from repro.fields import Field, FieldElement
+from repro.network import ShareColumn
 
 from .darts import SparseVector
 from .params import AnonChanParams
@@ -18,24 +19,25 @@ from .params import AnonChanParams
 
 def collect_step4_columns(
     private: Mapping[int, Any], expected_len: int, receiver: int, n: int
-) -> dict[int, list]:
+) -> dict[int, Any]:
     """Filter the receiver's step-4 inbox down to plausible share columns.
 
     A column is accepted only from a *known* party — an integer sender
     id in ``[0, n)`` other than the receiver itself — and only when the
-    payload is a list of exactly ``expected_len`` reveal entries.  The
-    sender-id filter matters once delivery leaves the ideal simulator:
-    an id outside the party set must never become a row of the
-    reconstruction input, where it would masquerade as a share from a
-    nonexistent evaluation point.
+    payload is a list or :class:`~repro.network.ShareColumn` of exactly
+    ``expected_len`` reveal entries (the VSS layer verifies what they
+    hold).  The sender-id filter matters once delivery leaves the ideal
+    simulator: an id outside the party set must never become a row of
+    the reconstruction input, where it would masquerade as a share from
+    a nonexistent evaluation point.
     """
-    collected: dict[int, list] = {}
+    collected: dict[int, Any] = {}
     for sender, payload in private.items():
         if not isinstance(sender, int) or not (0 <= sender < n):
             continue
         if sender == receiver:
             continue
-        if isinstance(payload, list) and len(payload) == expected_len:
+        if isinstance(payload, (list, ShareColumn)) and len(payload) == expected_len:
             collected[sender] = payload
     return collected
 

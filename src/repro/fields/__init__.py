@@ -4,7 +4,7 @@ The paper computes over ``F = GF(2^kappa)`` (:class:`GF2k`); prime
 fields (:class:`PrimeField`) are provided as an alternative substrate.
 """
 
-from .base import VECTOR_BACKEND_MODES, Field, FieldElement
+from .base import VECTOR_BACKEND_MODES, Field, FieldElement, draw_coefficients
 from .gf2k import GF2k, gf2k
 from .irreducible import (
     gf2_degree,
@@ -30,6 +30,7 @@ __all__ = [
     "Field",
     "FieldElement",
     "VECTOR_BACKEND_MODES",
+    "draw_coefficients",
     "GF2k",
     "gf2k",
     "PrimeField",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
     from repro.obs.profiler import NullProfiler, OpProfiler
@@ -281,3 +281,38 @@ class Field(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(order={self.order})"
+
+
+def draw_coefficients(rng: random.Random, field: Field, count: int) -> Any:
+    """``count`` uniformly random raw encodings of ``field``, in one draw.
+
+    Returns a 1-D numpy array (``uint64`` when the encodings fit, else
+    ``object``).  A power-of-two order ``2^k`` takes a single
+    ``getrandbits`` call: value ``i`` is the low ``k`` bits of byte-
+    aligned chunk ``i`` (``ceil(k/8)`` bytes, little-endian) of the
+    draw.  Any other order draws one ``randrange`` per value.  Scalar
+    and vectorized dealing both draw through here, so they consume the
+    rng identically.
+    """
+    import numpy as np
+
+    order = field.order
+    dtype = np.uint64 if order <= 1 << 64 else object
+    if count <= 0:
+        return np.zeros(0, dtype=dtype)
+    if order & (order - 1):
+        return np.array([rng.randrange(order) for _ in range(count)], dtype=dtype)
+    k = order.bit_length() - 1
+    width = max(1, (k + 7) // 8)  # bytes per chunk
+    raw = rng.getrandbits(8 * width * count).to_bytes(width * count, "little")
+    if width > 8:
+        chunks = [raw[i : i + width] for i in range(0, len(raw), width)]
+        return np.array(
+            [int.from_bytes(c, "little") & (order - 1) for c in chunks],
+            dtype=object,
+        )
+    octets = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
+    values = np.zeros(count, dtype=np.uint64)
+    for i in range(width):
+        values |= octets[:, i].astype(np.uint64) << np.uint64(8 * i)
+    return values & np.uint64(order - 1)

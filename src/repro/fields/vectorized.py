@@ -368,17 +368,20 @@ class VectorGF2k(VectorBackend):
         )
 
     # -- carryless kernel -------------------------------------------------
-    def _fold(self, acc: np.ndarray) -> np.ndarray:
+    def _fold(self, acc: np.ndarray, top: int | None = None) -> np.ndarray:
         """Reduce carryless products modulo the irreducible polynomial.
 
-        Folds bits ``2k-2 .. k`` (highest first): whenever bit ``b`` is
-        set, XOR in ``modulus << (b - k)``, whose top bit is exactly
-        ``b`` (the modulus has degree ``k``).
+        Folds bits ``top .. k`` (highest first; ``top`` defaults to
+        ``2k-2``, the highest bit a product of two elements can set):
+        whenever bit ``b`` is set, XOR in ``modulus << (b - k)``, whose
+        top bit is exactly ``b`` (the modulus has degree ``k``).
         """
         dt = self.dtype
         k = self.k
         modulus = int(self.modulus)
-        for bit in range(2 * k - 2, k - 1, -1):
+        if top is None:
+            top = 2 * k - 2
+        for bit in range(top, k - 1, -1):
             reducer = dt(modulus << (bit - k))
             acc = acc ^ reducer * ((acc >> dt(bit)) & dt(1))
         return acc
@@ -395,20 +398,27 @@ class VectorGF2k(VectorBackend):
         return self._fold(acc)
 
     def _clmul_scalar(self, a: np.ndarray, scalar: int) -> np.ndarray:
-        """Carryless multiply by one scalar (iterates its set bits only)."""
+        """Carryless multiply by one scalar.
+
+        Iterates the scalar's set bits only, and folds only the bits the
+        product can reach (``k - 1`` plus the scalar's degree), so
+        multiplying by a small party point costs a handful of passes
+        instead of ``2k``.
+        """
         prof = get_profiler()
         if prof.enabled:
             prof.observe("vec", "clmul", int(a.size))
         dt = self.dtype
         acc = np.zeros_like(a)
         s = int(scalar)
+        top = self.k - 2 + s.bit_length()
         bit = 0
         while s:
             if s & 1:
                 acc = acc ^ (a << dt(bit))
             s >>= 1
             bit += 1
-        return self._fold(acc)
+        return self._fold(acc, top)
 
     # -- arithmetic -------------------------------------------------------
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

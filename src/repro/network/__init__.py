@@ -22,7 +22,13 @@ from .faults import (
     garble_everything,
     only_in_rounds,
 )
-from .messages import RoundInput, RoundOutput, SizedPayload, payload_size
+from .messages import (
+    RoundInput,
+    RoundOutput,
+    ShareColumn,
+    SizedPayload,
+    payload_size,
+)
 from .metrics import ProtocolMetrics
 from .program import Program, map_result, parallel, sequence, silent_rounds
 from .runtime import (
@@ -38,6 +44,7 @@ __all__ = [
     "RoundInput",
     "RoundOutput",
     "SizedPayload",
+    "ShareColumn",
     "payload_size",
     "Program",
     "parallel",

@@ -52,12 +52,14 @@ class Adversary:
 
     def __init__(self, corrupted: set[int] | frozenset[int]):
         self.corrupted = frozenset(corrupted)
-        #: Complete view of every corrupted party, round by round.
-        self.views: list[dict[int, RoundInput]] = []
 
     def observe_inputs(self, inputs: Mapping[int, RoundInput]) -> None:
-        """Record corrupted parties' round inputs (their joint view)."""
-        self.views.append(dict(inputs))
+        """Receive corrupted parties' round inputs (their joint view).
+
+        The base adversary ignores them; a subclass that needs the
+        view overrides this (keeping every round's inbox alive for a
+        whole run costs hundreds of MB at n=9).
+        """
 
     def act(self, view: RushedView) -> dict[int, RoundOutput]:
         """Return this round's outputs for every corrupted party."""
@@ -78,11 +80,7 @@ class Adversary:
 
 
 class PassiveAdversary(Adversary):
-    """Honest-but-curious: corrupted parties follow the protocol.
-
-    The adversary still records every corrupted party's view, which is
-    what the anonymity/privacy experiments inspect.
-    """
+    """Honest-but-curious: corrupted parties follow the protocol."""
 
     def __init__(
         self,
@@ -105,7 +103,6 @@ class PassiveAdversary(Adversary):
         self._started = True
 
     def observe_inputs(self, inputs: Mapping[int, RoundInput]) -> None:
-        super().observe_inputs(inputs)
         for pid, prog in list(self._programs.items()):
             if pid not in inputs:
                 continue

@@ -12,7 +12,7 @@ import random
 from typing import Callable
 
 from .adversary import RushedView, TamperingAdversary
-from .messages import RoundOutput
+from .messages import RoundOutput, ShareColumn, SizedPayload
 from .program import Program
 
 Tamper = Callable[[int, RushedView, RoundOutput], RoundOutput]
@@ -62,21 +62,42 @@ def flip_integers(mask: int) -> Tamper:
 
     Models a bit-flipping (value-substituting) party: lists of ints and
     tuples ending in an int (the common share-payload shapes) are
-    flipped; anything else passes through unchanged.
+    flipped, and a :class:`ShareColumn` has ``mask`` XORed into its
+    value array; anything else passes through unchanged.  Flipping
+    keeps a payload's shape, so a precomputed size carries over.  A
+    payload sent to several recipients is flipped once per round.
     """
 
     def flip(payload):
         if isinstance(payload, int):
             return payload ^ mask
+        if type(payload) is ShareColumn:
+            import numpy as np
+
+            values = payload.values
+            if values.dtype.kind in "ui" and 0 <= mask <= np.iinfo(values.dtype).max:
+                return payload.with_values(values ^ values.dtype.type(mask))
+            return [flip(v) for v in payload.payloads()]  # mask too wide
         if isinstance(payload, list):
-            return [flip(v) for v in payload]
+            flipped = [flip(v) for v in payload]
+            if type(payload) is SizedPayload:
+                return SizedPayload(flipped, payload.payload_elements)
+            return flipped
         if isinstance(payload, tuple) and payload and isinstance(payload[-1], int):
             return payload[:-1] + (payload[-1] ^ mask,)
         return payload
 
     def tamper(pid, view, out):
+        flipped: dict[int, object] = {}
+
+        def flip_once(payload):
+            key = id(payload)
+            if key not in flipped:
+                flipped[key] = flip(payload)
+            return flipped[key]
+
         return RoundOutput(
-            private={j: flip(p) for j, p in out.private.items()},
+            private={j: flip_once(p) for j, p in out.private.items()},
             broadcast=out.broadcast,
         )
 

@@ -69,9 +69,9 @@ class SizedPayload(list):
     construction time; carrying it here lets the accounting skip the
     per-atom walk.  The precomputed value must equal what the generic
     walk would return — sizes are protocol-visible (traces, comm
-    bounds), not advisory.  Any transformation (fault tampering,
-    slicing) yields a plain ``list`` and falls back to generic sizing,
-    so a stale size cannot survive content changes.
+    bounds), not advisory.  Slicing yields a plain ``list`` that is
+    sized by the walk; a tamper that keeps every atom in place
+    (:func:`~repro.network.faults.flip_integers`) keeps the size.
     """
 
     __slots__ = ("payload_elements",)
@@ -84,6 +84,87 @@ class SizedPayload(list):
         # Serialized copies (wire transports) degrade to a plain list:
         # correct sizing beats carrying a size the receiver can't trust.
         return (list, (list(self),))
+
+
+def _frozen_flat(values: Any) -> Any:
+    """``values`` as a read-only 1-D array (never freezes the caller's)."""
+    import numpy as np
+
+    arr = np.asarray(values).reshape(-1)
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.flags.writeable = False
+    return arr
+
+
+class ShareColumn:
+    """One sender's reveal payloads for a batch of openings, as arrays.
+
+    The column stands for the payload list ``[col[k] for k in
+    range(len(col))]`` with ``col[k] = (sender, terms_k, values[k])``,
+    where ``terms_k`` pairs ``serials`` with ``coefficients`` over the
+    flat range ``starts[k]:starts[k + 1]`` (the linear combination of
+    dealt values a VSS opening reveals).  Its wire size is that list's
+    :func:`payload_size` read off the array shapes: 2 per value (sender
+    and value) plus 2 per term.
+
+    The arrays are read-only and a column never changes: tampering
+    builds a new column (:meth:`with_values`), so a sender's own state
+    cannot be altered through a payload it shared.  Nothing is
+    validated here — the constructor accepts any array-likes, and
+    receivers check the shapes and dtypes of what they are sent.
+    """
+
+    __slots__ = (
+        "sender", "starts", "serials", "coefficients", "values",
+        "payload_elements",
+    )
+
+    def __init__(self, sender: Any, starts: Any, serials: Any,
+                 coefficients: Any, values: Any):
+        self.sender = sender
+        self.starts = _frozen_flat(starts)
+        self.serials = _frozen_flat(serials)
+        self.coefficients = _frozen_flat(coefficients)
+        self.values = _frozen_flat(values)
+        self.payload_elements = (
+            2 * self.values.size + self.serials.size + self.coefficients.size
+        )
+
+    def with_values(self, values: Any) -> "ShareColumn":
+        """The same terms carrying other values."""
+        return ShareColumn(
+            self.sender, self.starts, self.serials, self.coefficients, values
+        )
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __getitem__(self, k: int) -> Any:
+        """Payload ``k`` as a tuple; ``None`` where the arrays are malformed."""
+        if not 0 <= k < self.values.size:
+            raise IndexError("share column index out of range")
+        try:
+            lo, hi = int(self.starts[k]), int(self.starts[k + 1])
+            if not 0 <= lo <= hi <= self.serials.size:
+                return None
+            terms = tuple(
+                zip(
+                    self.serials[lo:hi].tolist(),
+                    self.coefficients[lo:hi].tolist(),
+                    strict=True,
+                )
+            )
+        except (IndexError, TypeError, ValueError, OverflowError):
+            return None
+        value = self.values[k]
+        if self.values.dtype.kind in "ui":
+            value = int(value)
+        return (self.sender, terms, value)
+
+    def payloads(self) -> list:
+        """The payload list this column stands for."""
+        return [self[k] for k in range(len(self))]
 
 
 def payload_size(payload: Any) -> int:
@@ -102,7 +183,7 @@ def payload_size(payload: Any) -> int:
     if payload is None:
         return 0
     tp = type(payload)
-    if tp is SizedPayload:
+    if tp is SizedPayload or tp is ShareColumn:
         return payload.payload_elements
     if tp in _ATOMS or tp.__name__ == "FieldElement":
         return 1

@@ -92,17 +92,13 @@ class ShareView(ABC):
 class SharedBatch:
     """A party's result of one batched VSS-Share: one view per secret.
 
-    ``handle`` is backend-private fast-path metadata (e.g. the ideal
-    backend stamps the contiguous serial range of the batch so offset
-    arithmetic can run as numpy gathers).  It is ``None`` for
-    hand-built batches and for backends without a batched fast path;
-    consumers must treat it as opaque and fall back to the generic
-    view-by-view path when absent.
+    ``views`` is any sequence of views; a backend with array kernels
+    may return its own sequence type (the ideal backend's share block)
+    and recognise it in its batched methods.
     """
 
     dealer: int
     views: Sequence[ShareView]
-    handle: Any = None
 
     def __len__(self) -> int:
         return len(self.views)
@@ -199,14 +195,28 @@ class VSSSession(ABC):
     # -- batched linear algebra ---------------------------------------------
     # Generic implementations: correct for every backend, view-by-view.
     # Backends with a vectorized substrate override these with numpy
-    # fast paths that produce *identical* view objects (the differential
-    # harness pins this down); callers must not depend on timing.
+    # fast paths whose results index to *identical* views (the
+    # differential harness pins this down); callers must not depend on
+    # the sequence type or on timing.
 
     def reveal_payloads_batch(
         self, pid: int, views: Sequence[ShareView]
     ) -> list[Any]:
         """Reveal payloads for many views at once."""
         return [self.reveal_payload(pid, v) for v in views]
+
+    def gather_views(
+        self, batch: SharedBatch, offsets: Sequence[int]
+    ) -> Sequence[ShareView]:
+        """The views ``batch[o]`` for each offset ``o``, in order."""
+        views = batch.views
+        return [views[int(o)] for o in offsets]
+
+    def join_views(
+        self, parts: Sequence[Sequence[ShareView]]
+    ) -> Sequence[ShareView]:
+        """``parts`` concatenated into one sequence (one opening)."""
+        return [view for part in parts for view in part]
 
     def diff_views_batch(
         self,

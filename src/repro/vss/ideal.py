@@ -19,12 +19,15 @@ composition claim.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.fields import VECTOR_BACKEND_MODES, FieldElement
-from repro.network import Program, RoundOutput, SizedPayload
+import numpy as np
+
+from repro.fields import VECTOR_BACKEND_MODES, FieldElement, draw_coefficients
+from repro.network import Program, RoundOutput, ShareColumn, SizedPayload
 from repro.obs.profiler import get_profiler
 
 from .base import (
@@ -98,53 +101,84 @@ class IdealShareView(ShareView):
         )
 
 
-class _LazyBatchViews(Sequence):
-    """Batch views materialized on demand.
+class ShareBlock(Sequence):
+    """One party's views of many values, held as arrays.
 
-    A dealt batch holds one view per secret, but the batched protocol
-    paths touch only a fraction of them individually: the offset
-    algebra (``diff_offsets_batch`` / ``sum_offsets_batch``) works on
-    the batch handle, and openings slice out sub-ranges.  Constructing
-    every :class:`IdealShareView` eagerly is pure waste at scale, so
-    this sequence builds each view when (and only when) it is indexed.
-    Construction is deterministic — repeated access yields equal views
-    (``IdealShareView`` equality is by value) — so laziness is
-    observationally identical to the eager list.
+    Row ``k`` is the linear combination of dealt values whose terms are
+    ``serials``/``coefficients`` over ``starts[k]:starts[k + 1]``
+    (sorted by serial, as :class:`IdealShareView` keeps them), and
+    ``values[k]`` is the party's share of it.  Dealt batches, slices,
+    gathers, the cut-and-choose differences, the step-4 sum and whole
+    openings stay blocks end to end; indexing one row builds its
+    :class:`IdealShareView`, which equals what the view-by-view path
+    computes (the differential harness pins this).
     """
 
-    __slots__ = ("_session", "_pid", "_first", "_count", "_one")
+    __slots__ = ("session", "pid", "starts", "serials", "coefficients", "values")
 
-    def __init__(self, session, pid, first, count, one):
-        self._session = session
-        self._pid = pid
-        self._first = first
-        self._count = count
-        self._one = one
-
-    def _make(self, k: int) -> "IdealShareView":
-        serial = self._first + k
-        return IdealShareView(
-            self._session,
-            self._pid,
-            ((serial, self._one),),
-            self._session._evals[serial][self._pid + 1],
-        )
+    def __init__(self, session, pid, starts, serials, coefficients, values):
+        self.session = session
+        self.pid = pid
+        self.starts = starts
+        self.serials = serials
+        self.coefficients = coefficients
+        self.values = values
 
     def __len__(self) -> int:
-        return self._count
+        return len(self.values)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._make(k) for k in range(*index.indices(self._count))]
-        k = index.__index__()
+            lo, hi, step = index.indices(len(self))
+            if step != 1:
+                return self.take(np.arange(lo, hi, step))
+            hi = max(lo, hi)
+            a, b = self.starts[lo], self.starts[hi]
+            return ShareBlock(
+                self.session, self.pid, self.starts[lo : hi + 1] - a,
+                self.serials[a:b], self.coefficients[a:b], self.values[lo:hi],
+            )
+        k = operator.index(index)
         if k < 0:
-            k += self._count
-        if not 0 <= k < self._count:
-            raise IndexError("batch view index out of range")
-        return self._make(k)
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("share block index out of range")
+        a, b = self.starts[k], self.starts[k + 1]
+        terms = tuple(zip(self.serials[a:b].tolist(), self.coefficients[a:b].tolist()))
+        return IdealShareView(self.session, self.pid, terms, int(self.values[k]))
 
-    def __iter__(self):
-        return map(self._make, range(self._count))
+    def take(self, rows) -> "ShareBlock":
+        """The rows ``rows`` (an index array) as a block, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = np.diff(self.starts)[rows]
+        starts = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        src = np.repeat(self.starts[rows] - starts[:-1], lengths)
+        src += np.arange(starts[-1])
+        return ShareBlock(
+            self.session, self.pid, starts, self.serials[src],
+            self.coefficients[src], self.values[rows],
+        )
+
+    @staticmethod
+    def join(blocks: Sequence["ShareBlock"]) -> "ShareBlock":
+        """The blocks' rows, one after the other."""
+        offsets = np.cumsum([0] + [len(b.serials) for b in blocks])
+        return ShareBlock(
+            blocks[0].session,
+            blocks[0].pid,
+            np.concatenate(
+                [[0]] + [b.starts[1:] + o for b, o in zip(blocks, offsets)]
+            ),
+            np.concatenate([b.serials for b in blocks]),
+            np.concatenate([b.coefficients for b in blocks]),
+            np.concatenate([b.values for b in blocks]),
+        )
+
+
+def _plausible(payload: Any, count: int) -> bool:
+    """A payload shaped like a column of ``count`` reveal payloads."""
+    return isinstance(payload, (list, tuple, ShareColumn)) and len(payload) == count
 
 
 class IdealVSSSession(VSSSession):
@@ -152,30 +186,19 @@ class IdealVSSSession(VSSSession):
 
     def __init__(self, scheme: "IdealVSS"):
         super().__init__(scheme)
-        # Per dealt value: its share evaluations at x = 0..n (index 0 is
-        # the secret itself).  Polynomials are never materialized — the
-        # functionality only ever needs these n+1 points.
-        self._evals: list[list[int]] = []
-        self._batches: dict[tuple[int, int], int | RefuseType | None] = {}
-        self._batch_lengths: dict[tuple[int, int], int] = {}
+        # Per dealt value (by serial), its share evaluations at
+        # x = 0..n (column 0 is the secret itself): one table per dealt
+        # batch, read as one matrix (:attr:`_evals`).  Polynomials are
+        # never materialized — the functionality needs only these points.
+        self._tables: list[np.ndarray] = []
+        self._dealt = 0
+        self._evals_matrix: np.ndarray | None = None
+        self._batches: dict[tuple[int, int], Any] = {}
         self._counters: dict[tuple[int, int], int] = {}
         self._lagrange_cache: dict[tuple[int, ...], list[int]] = {}
         self._backend_mode = scheme.backend
         self._vector = None
         self._vector_checked = False
-        self._vandermonde = None  # cached powers of the points 0..n
-        self._evals_np = None  # cached numpy view of _evals
-        # Cross-verifier open caches.  All n verifiers of one public
-        # opening verify the same senders against the same expected
-        # content, and everything cached here — the honest reference
-        # column per sender and the opened values per quorum point set —
-        # is derived from the opened terms and the functionality's eval
-        # table alone, never from received payloads.  The first verifier
-        # builds each entry and the other n-1 reuse it; verdicts about
-        # *received* columns are still recomputed per call, so mutated
-        # or adversarial payloads cannot poison the cache.
-        self._honest_cache: dict[tuple, tuple[list[int], list]] = {}
-        self._opened_cache: dict[tuple, list] = {}
         if self._backend_mode == "vectorized":
             from repro.fields.vectorized import vector_backend
 
@@ -233,6 +256,24 @@ class IdealVSSSession(VSSSession):
                 return None
         return vec
 
+    def _dtype(self):
+        """Array dtype of raw encodings: the kernels' where they exist."""
+        vec = self._vector_backend()
+        if vec is not None:
+            return vec.dtype
+        return np.uint64 if self.scheme.field.order <= 1 << 64 else object
+
+    @property
+    def _evals(self) -> np.ndarray:
+        """Every dealt value's evaluations at x = 0..n, row = serial."""
+        if self._evals_matrix is None or len(self._evals_matrix) != self._dealt:
+            self._evals_matrix = (
+                np.concatenate(self._tables)
+                if self._tables
+                else np.zeros((0, self.scheme.n + 1), dtype=self._dtype())
+            )
+        return self._evals_matrix
+
     def _lagrange_at_zero(self, xs: tuple[int, ...]) -> list[int]:
         """Cached Lagrange-at-zero coefficients for one point set.
 
@@ -248,16 +289,6 @@ class IdealVSSSession(VSSSession):
             self._lagrange_cache[xs] = coeffs
         return coeffs
 
-    def _evals_matrix(self, vec):
-        """The functionality's eval table as a cached numpy matrix."""
-        import numpy as np
-
-        if not self._evals:
-            return np.zeros((0, self.scheme.n + 1), dtype=vec.dtype)
-        if self._evals_np is None or self._evals_np.shape[0] != len(self._evals):
-            self._evals_np = np.asarray(self._evals, dtype=vec.dtype)
-        return self._evals_np
-
     # -- functionality internals ------------------------------------------
     def _deal(
         self,
@@ -272,66 +303,87 @@ class IdealVSSSession(VSSSession):
         if isinstance(secrets, RefuseType):
             self._batches[key] = REFUSE
             return
-        first = len(self._evals)
         field = self.scheme.field
-        t = self.scheme.t
-        n = self.scheme.n
-        order = field.order
+        t, n, count = self.scheme.t, self.scheme.n, len(secrets)
+        dtype = self._dtype()
+        coeffs = np.empty((count, t + 1), dtype=dtype)
+        coeffs[:, 0] = [secret.value for secret in secrets]
+        coeffs[:, 1:] = draw_coefficients(rng, field, count * t).reshape(count, t)
         points = [field.encode(x) for x in range(n + 1)]
-        randrange = rng.randrange
-        coeff_rows = [
-            [secret.value] + [randrange(order) for _ in range(t)]
-            for secret in secrets
-        ]
-        vec = self._use_vector(len(coeff_rows), VECTOR_DEAL_MIN)
+        vec = self._use_vector(count, VECTOR_DEAL_MIN)
         prof = get_profiler()
         if vec is not None:
-            # Large batch on a vectorizable field: evaluate all sharing
-            # polynomials at all party points against the cached
-            # Vandermonde table in a few numpy operations.
-            import numpy as np
-
+            # Horner at the small points 0..n: table-free GF(2^k)
+            # multiplies by a point over its few set bits only.
             if prof.enabled:
-                prof.count("vss", "deal_batched", len(coeff_rows))
-                prof.observe("vss", "deal_batch_size", len(coeff_rows))
-            if self._vandermonde is None:
-                from repro.fields.vectorized import TABLES
-
-                self._vandermonde = TABLES.vandermonde(vec, points, t)
-            table = vec.batch_eval(
-                np.asarray(coeff_rows, dtype=vec.dtype),
-                vandermonde=self._vandermonde,
-            )
-            self._evals.extend(row.tolist() for row in table)
+                prof.count("vss", "deal_batched", count)
+                prof.observe("vss", "deal_batch_size", count)
+            table = vec.eval_at_points(coeffs, points)
         else:
             if prof.enabled:
                 # field.add/field.mul below hit the instrumented field
                 # methods, so fields/* is counted there, not here.
-                prof.count("vss", "deal_scalar_fallback", len(coeff_rows))
+                prof.count("vss", "deal_scalar_fallback", count)
             add, mul = field.add, field.mul
-            for coeffs in coeff_rows:
+            rows = []
+            for row in coeffs.tolist():
                 evals = []
                 for x in points:
                     acc = 0
-                    for c in reversed(coeffs):  # Horner
+                    for c in reversed(row):  # Horner
                         acc = add(mul(acc, x), c)
                     evals.append(acc)
-                self._evals.append(evals)
-        self._batches[key] = first
-        self._batch_lengths[key] = len(secrets)
+                rows.append(evals)
+            table = np.array(rows, dtype=dtype).reshape(count, n + 1)
+        first = self._dealt
+        self._tables.append(table)
+        self._dealt += count
+        # The batch's terms (serial first + k, coefficient 1) are shared
+        # by every party's block of it.
+        self._batches[key] = (
+            table,
+            np.arange(count + 1),
+            np.arange(first, first + count),
+            np.full(count, field.encode(1), dtype=dtype),
+        )
 
-    def _eval_terms(self, terms: Terms, x_index: int) -> int:
-        """Value of a linear combination at party point index (0 = secret)."""
+    def _is_dealt(self, views) -> bool:
+        """``views`` is a block of dealt values: one term of coefficient 1 a row."""
+        return (
+            isinstance(views, ShareBlock)
+            and views.session is self
+            and len(views.serials) == len(views)
+            and bool((np.diff(views.starts) == 1).all())
+            and bool((views.coefficients == self.scheme.field.encode(1)).all())
+        )
+
+    def _as_block(self, pid: int, views) -> ShareBlock:
+        """``views`` as a block (a list of views is packed into arrays)."""
+        if isinstance(views, ShareBlock):
+            return views
+        starts, serials, coefficients, values = [0], [], [], []
+        for view in views:
+            if not isinstance(view, IdealShareView):
+                raise TypeError("expected an IdealShareView")
+            for serial, coeff in view.terms:
+                serials.append(serial)
+                coefficients.append(coeff)
+            starts.append(len(serials))
+            values.append(view.value)
+        dtype = self._dtype()
+        return ShareBlock(
+            self, pid, np.array(starts, dtype=np.int64),
+            np.array(serials, dtype=np.int64),
+            np.array(coefficients, dtype=dtype), np.array(values, dtype=dtype),
+        )
+
+    def _elements(self, raw: np.ndarray) -> list[FieldElement]:
+        """Field elements for raw encodings, one object per distinct value."""
         field = self.scheme.field
-        evals = self._evals
-        add, mul = field.add, field.mul
-        acc = 0
-        for serial, coeff in terms:
-            acc = add(acc, mul(coeff, evals[serial][x_index]))
-        return acc
-
-    def _point(self, pid: int) -> int:
-        return self.scheme.field.encode(pid + 1)
+        distinct, inverse = np.unique(raw, return_inverse=True)
+        elements = np.empty(len(distinct), dtype=object)
+        elements[:] = [FieldElement(field, v) for v in distinct.tolist()]
+        return elements[inverse.reshape(-1)].tolist()
 
     # -- VSSSession interface ----------------------------------------------
     def share_program(
@@ -365,41 +417,35 @@ class IdealVSSSession(VSSSession):
         record = self._batches.get((dealer, batch_index))
         if record is None or isinstance(record, RefuseType):
             return DEALER_DISQUALIFIED
-        first = record
-        count = self._batch_lengths[(dealer, batch_index)]
-        one = self.scheme.field.encode(1)
-        # Views materialize lazily: the batched view algebra works on the
-        # handle (the batch's contiguous serial range, driving numpy
-        # gathers) and openings slice sub-ranges, so most views are never
-        # constructed at all.
-        views = _LazyBatchViews(self, pid, first, count, one)
-        return SharedBatch(
-            dealer=dealer, views=views, handle=(first, count, pid)
+        table, starts, serials, coefficients = record
+        block = ShareBlock(
+            self, pid, starts, serials, coefficients, table[:, pid + 1]
         )
+        return SharedBatch(dealer=dealer, views=block)
 
     def zero_view(self, pid: int) -> IdealShareView:
         return IdealShareView(self, pid, terms=(), value=0)
 
     def open_program(self, pid: int, views):
-        """Batched public opening (numpy fast path).
+        """Public opening of ``views`` (a block or a list of views).
 
-        Semantically identical to the base implementation: honest
-        parties all open the same views, so a payload is accepted iff it
-        matches the verifier's expected ``(terms, value)`` for that
-        position; positions where the expected group misses quorum fall
-        back to the generic per-value logic (which also handles senders
-        forming alternative terms-groups).
+        Semantically identical to the base implementation.  Openings
+        large enough for the kernels travel as one :class:`ShareColumn`
+        per sender and are verified with array compares
+        (:meth:`_reconstruct_columns`); smaller ones, and the scalar
+        reference path, open view by view as payload tuples.
         """
-        from repro.network import RoundOutput
-
-        n = self.scheme.n
+        if self._use_vector(len(views), VECTOR_OPEN_MIN) is not None:
+            views = self._as_block(pid, views)
+        else:
+            views = list(views)
         payloads = self.reveal_payloads_batch(pid, views)
         inbox = yield RoundOutput(
-            private={j: payloads for j in range(n) if j != pid}
+            private={j: payloads for j in range(self.scheme.n) if j != pid}
         )
         columns: list[tuple[int, Any]] = [(pid, payloads)]
         for sender, payload in inbox.private.items():
-            if isinstance(payload, (list, tuple)) and len(payload) == len(views):
+            if _plausible(payload, len(views)):
                 columns.append((sender, payload))
         return self._reconstruct_columns(columns, views, pid, strict=True)
 
@@ -410,17 +456,18 @@ class IdealVSSSession(VSSSession):
         verifier: int | None = None,
         views=None,
     ) -> list[FieldElement | None]:
-        """Batch private reconstruction (paper step 4) — numpy fast path.
+        """Batch private reconstruction (paper step 4).
 
         When the reconstructing party supplies its own ``views`` (it
-        always holds shares of the values being opened), the batched
-        verification/recombination of :meth:`open_program` is reused;
-        positions that miss quorum fall back to the generic logic and
-        yield ``None`` on failure instead of raising.
+        always holds shares of the values being opened), the verified
+        recombination of :meth:`open_program` is reused, with ``None``
+        for positions that cannot be reconstructed instead of raising.
         """
         if views is not None and len(views) == count:
-            cols = [(s, column) for s, column in columns.items()]
-            return self._reconstruct_columns(cols, views, verifier, strict=False)
+            plausible = [
+                (s, column) for s, column in columns.items() if _plausible(column, count)
+            ]
+            return self._reconstruct_columns(plausible, views, verifier, strict=False)
         return super().reconstruct_private_batch(
             columns, count, verifier=verifier, views=views
         )
@@ -428,191 +475,106 @@ class IdealVSSSession(VSSSession):
     def _reconstruct_columns(self, columns, views, pid, strict):
         """Verify and recombine payload columns against the verifier's views.
 
-        ``strict`` controls failure handling: ``True`` propagates
-        :class:`ReconstructionError` (public openings must abort),
-        ``False`` substitutes ``None`` per failed position (private
-        step-4 reconstruction tolerates corrupted coordinates).
+        A sender's :class:`ShareColumn` counts for the array path only
+        if its terms equal the verifier's exactly; its values are then
+        accepted where they equal the functionality's evaluations at the
+        sender's point.  Positions with ``t + 1`` accepted shares open
+        to the combination's value at 0 — any ``t + 1`` accepted shares
+        lie on its degree-``t`` polynomial, so they interpolate to
+        exactly that.  Every other position falls back to
+        :meth:`verify_and_combine` over all senders' payloads.
+        ``strict`` propagates :class:`ReconstructionError` (public
+        openings must abort); otherwise failed positions yield ``None``.
         """
-        vec = self._use_vector(len(views), VECTOR_OPEN_MIN)
+        count = len(views)
+        vec = self._use_vector(count, VECTOR_OPEN_MIN)
         prof = get_profiler()
-        if vec is None:
-            if prof.enabled:
-                prof.count("vss", "open_scalar_fallback", len(views))
-            return self._combine_columns(columns, views, pid, strict)
-
-        import numpy as np
-
         if prof.enabled:
-            prof.count("vss", "open_batched", len(views))
-            prof.observe("vss", "open_batch_size", len(views))
-
-        field = self.scheme.field
-        quorum = self.scheme.t + 1
-        # Flatten the verifier's own terms: arrays over (value, term).
-        ks, serials, coeffs = [], [], []
-        for k, view in enumerate(views):
-            for serial, coeff in view.terms:
-                ks.append(k)
-                serials.append(serial)
-                coeffs.append(coeff)
-        evals_arr = self._evals_matrix(vec)
-        serial_idx = np.asarray(serials, dtype=np.int64)
-        coeff_arr = np.asarray(coeffs, dtype=vec.dtype)
-        # Segment boundaries per value (terms were appended in k order).
-        ks_arr = np.asarray(ks, dtype=np.int64)
-        boundaries = np.searchsorted(ks_arr, np.arange(len(views)))
-        counts = np.diff(np.append(boundaries, len(ks)))
-
-        def expected_for_point(x_index: int) -> np.ndarray:
-            if len(serial_idx) == 0:
-                return np.zeros(len(views), dtype=vec.dtype)
+            kind = "open_scalar_fallback" if vec is None else "open_batched"
+            prof.count("vss", kind, count)
+        if vec is None:
+            results: list = [None] * count
+            pending = range(count)
+        else:
             if prof.enabled:
-                # Raw kernel (not batch_eval), so the replaced field ops
-                # are accounted analytically: one mul + add per term.
-                prof.count("fields", "mul", int(serial_idx.shape[0]))
-                prof.count("fields", "add", int(serial_idx.shape[0]))
-            prod = vec.mul(evals_arr[serial_idx, x_index], coeff_arr)
-            # Per-view field sums of the term products; reduceat
-            # misbehaves for empty segments (views with no terms), so
-            # patch those to zero.
-            out = np.zeros(len(views), dtype=vec.dtype)
-            nonempty = counts > 0
-            segments = vec.reduceat(prod, boundaries)
-            out[nonempty] = segments[nonempty]
-            return out
-
-        expected_terms = [v.terms for v in views]
-        num_views = len(views)
-
-        # Content signature of this opening: what is being opened (the
-        # flattened terms) determines every verifier-independent cached
-        # quantity below.  Hashing the raw arrays is O(bytes) in C.
-        sig = (
-            num_views,
-            hash(serial_idx.tobytes()),
-            hash(coeff_arr.tobytes()),
-        )
-        if len(self._honest_cache) > 4096:
-            self._honest_cache.clear()
-            self._opened_cache.clear()
-
-        # Honest fast path: a sender's whole column is typically exactly
-        # the expected honest payload list, so one C-level list
-        # comparison per column replaces the per-position Python loop.
-        # Fully matching columns carry the verifier's own ground-truth
-        # evaluations, and interpolating any ``quorum`` of those at zero
-        # yields the same values position-by-position acceptance would —
-        # so the first ``quorum`` fully matching columns settle every
-        # position with a single batched recombination.
-        from itertools import repeat
-
-        expected_cache: dict[int, list[int]] = {}
-        full_columns = []
-        # Scan in sender order, not arrival order: every verifier of the
-        # same opening then settles on the same quorum point set, so the
-        # opened-values cache below hits across all n verifiers.  (Any
-        # quorum of fully matching columns interpolates to the same
-        # values, so the choice is free.)
-        for sender, column in sorted(columns, key=lambda sc: sc[0]):
-            if len(full_columns) >= quorum:
-                break
-            hit = self._honest_cache.get((sig, sender))
-            if hit is None:
-                vals_list = expected_for_point(sender + 1).tolist()
-                honest = list(zip(repeat(sender), expected_terms, vals_list))
-                self._honest_cache[(sig, sender)] = hit = (vals_list, honest)
-            vals_list, honest = hit
-            expected_cache[sender] = vals_list
-            if column == honest:
-                full_columns.append((sender + 1, vals_list))
-        if len(full_columns) >= quorum:
-            xs = tuple(x for x, _ in full_columns[:quorum])
-            cached = self._opened_cache.get((sig, xs))
-            if cached is not None:
-                return list(cached)
-            ys = np.asarray(
-                [v for _, v in full_columns[:quorum]], dtype=vec.dtype
-            ).T
-            lag = vec.array(self._lagrange_at_zero(xs))
-            opened = vec.interpolate_at_zero_batch(xs, ys, lagrange=lag)
-            results = [FieldElement(field, v) for v in opened.tolist()]
-            self._opened_cache[(sig, xs)] = results
-            return list(results)
-
-        accepted: list[list[tuple[int, int]]] = [[] for _ in views]
-        for sender, column in columns:
-            expected_vals = expected_cache.get(sender)
-            if expected_vals is None:
-                expected_vals = expected_for_point(sender + 1).tolist()
-            point = sender + 1
-            for k in range(num_views):
-                row = accepted[k]
-                if len(row) >= quorum:
-                    continue
-                payload = column[k]
-                if (
-                    type(payload) is tuple
-                    and len(payload) == 3
-                    and payload[0] == sender
-                    and payload[2] == expected_vals[k]
-                    and payload[1] == expected_terms[k]
-                ):
-                    row.append((point, payload[2]))
-
-        results: list[FieldElement | None] = [None] * num_views
-        # Group quorum positions by their accepted point set so each
-        # distinct set pays for one Lagrange computation and one
-        # batched recombination.
-        by_points: dict[tuple[int, ...], list[int]] = {}
-        for k in range(num_views):
-            pts = accepted[k]
-            if len(pts) < quorum:
-                # Rare/adversarial: defer to the generic logic.
-                try:
-                    results[k] = self.verify_and_combine(
-                        {sender: column[k] for sender, column in columns},
-                        verifier=pid,
-                    )
-                except ReconstructionError:
-                    if strict:
-                        raise
-                    results[k] = None
-                continue
-            by_points.setdefault(tuple(p[0] for p in pts), []).append(k)
-        for xs, group in by_points.items():
-            lag = vec.array(self._lagrange_at_zero(xs))
-            ys = np.asarray(
-                [[value for _, value in accepted[k]] for k in group],
-                dtype=vec.dtype,
-            )
-            opened = vec.interpolate_at_zero_batch(xs, ys, lagrange=lag)
-            for k, value in zip(group, opened.tolist()):
-                results[k] = FieldElement(field, value)
-        return results
-
-    def _combine_columns(self, columns, views, pid, strict=True):
-        """Scalar path shared with the base class's semantics."""
-        results = []
-        for k in range(len(views)):
+                prof.observe("vss", "open_batch_size", count)
+            block = self._as_block(pid, views)
+            table = self._combination_table(vec, block)
+            accepted = np.zeros(count, dtype=np.int64)
+            for sender, column in columns:
+                if self._same_terms(sender, column, block):
+                    accepted += column.values == table[:, sender + 1]
+            results = self._elements(table[:, 0])
+            pending = np.flatnonzero(accepted <= self.scheme.t).tolist()
+        for k in pending:
             try:
-                results.append(
-                    self.verify_and_combine(
-                        {sender: column[k] for sender, column in columns},
-                        verifier=pid,
-                    )
+                results[k] = self.verify_and_combine(
+                    {sender: column[k] for sender, column in columns},
+                    verifier=pid,
                 )
-            except (ReconstructionError, IndexError):
+            except ReconstructionError:
                 if strict:
                     raise
-                results.append(None)
+                results[k] = None
         return results
+
+    def _same_terms(self, sender, column, block: ShareBlock) -> bool:
+        """``column`` is ``sender``'s, with exactly the terms of ``block``."""
+        return (
+            type(column) is ShareColumn
+            and type(sender) is int
+            and 0 <= sender < self.scheme.n
+            and type(column.sender) is int
+            and column.sender == sender
+            and column.values.dtype == block.values.dtype
+            and len(column.values) == len(block)
+            and all(
+                theirs.dtype == mine.dtype and np.array_equal(theirs, mine)
+                for theirs, mine in (
+                    (column.starts, block.starts),
+                    (column.serials, block.serials),
+                    (column.coefficients, block.coefficients),
+                )
+            )
+        )
+
+    def _combination_table(self, vec, block: ShareBlock) -> np.ndarray:
+        """Each row's combination evaluated at x = 0..n, shape (rows, n+1).
+
+        One pass per term position: pass ``w`` adds the ``w``-th term of
+        every row that has one (rows without terms stay 0).
+        """
+        evals = self._evals
+        one = self.scheme.field.encode(1)
+        table = np.zeros((len(block), self.scheme.n + 1), dtype=block.values.dtype)
+        rows = np.arange(len(block))
+        firsts = block.starts[:-1]
+        widths = block.starts[1:] - firsts
+        prof = get_profiler()
+        for w in range(int(widths.max(initial=0))):
+            if w:
+                rows = rows[widths[rows] > w]
+            terms = firsts[rows] + w
+            term = evals[block.serials[terms]]
+            coefficients = block.coefficients[terms]
+            if not (coefficients == one).all():
+                term = vec.mul(term, coefficients[:, None])
+            table[rows] = vec.add(table[rows], term) if w else term
+            if prof.enabled:
+                prof.count("fields", "add", term.size)
+        return table
 
     def reveal_payload(self, pid: int, view: ShareView) -> Any:
         if not isinstance(view, IdealShareView):
             raise TypeError("expected an IdealShareView")
         return (pid, view.terms, view.value)
 
-    def reveal_payloads_batch(self, pid: int, views) -> list[Any]:
+    def reveal_payloads_batch(self, pid: int, views) -> Any:
+        """A block reveals as one :class:`ShareColumn`, a list per view."""
+        if isinstance(views, ShareBlock):
+            return ShareColumn(
+                pid, views.starts, views.serials, views.coefficients, views.values
+            )
         payloads = []
         size = 0
         for view in views:
@@ -621,79 +583,74 @@ class IdealVSSSession(VSSSession):
             terms = view.terms
             # Accounting size of one item (pid, terms, value): two int
             # atoms plus two per (serial, coeff) pair — precomputed here
-            # so the engine's per-atom walk is skipped for the protocol's
-            # dominant payloads.
+            # so the engine's per-atom walk is skipped.
             size += 2 + 2 * len(terms)
             payloads.append((pid, terms, view.value))
         return SizedPayload(payloads, size)
 
     # -- batched view algebra (AnonChan hot path) ---------------------------
-    # These produce views *identical* (terms, value) to the generic
-    # view-by-view fallbacks in VSSSession — the differential harness in
-    # tests/core/test_batched_equivalence.py pins that down — but read
-    # the share values straight out of the functionality's eval matrix
-    # via the batch handles instead of walking view objects.
+    # These produce blocks whose rows equal the generic view-by-view
+    # fallbacks in VSSSession (tests/core/test_batched_equivalence.py
+    # pins that down), computed on the dealt blocks' arrays.
+
+    def gather_views(self, batch, offsets):
+        if isinstance(batch.views, ShareBlock):
+            return batch.views.take(offsets)
+        return super().gather_views(batch, offsets)
+
+    def join_views(self, parts):
+        blocks = [part for part in parts if len(part)]
+        if blocks and all(
+            isinstance(b, ShareBlock) and b.session is self and b.pid == blocks[0].pid
+            for b in blocks
+        ):
+            return blocks[0] if len(blocks) == 1 else ShareBlock.join(blocks)
+        return super().join_views(parts)
 
     def diff_offsets_batch(self, batch, offsets_a, offsets_b):
-        handle = getattr(batch, "handle", None)
+        views = batch.views
         vec = self._use_vector(len(offsets_a), VECTOR_COMBINE_MIN)
-        if vec is None or handle is None:
+        if vec is None or not self._is_dealt(views):
             return super().diff_offsets_batch(batch, offsets_a, offsets_b)
-
-        import numpy as np
-
-        first, count, pid = handle
         offs_a = np.asarray(offsets_a, dtype=np.int64)
         offs_b = np.asarray(offsets_b, dtype=np.int64)
         if (
             offs_a.ndim != 1
             or offs_a.shape != offs_b.shape
-            or (offs_a.size and (offs_a.min() < 0 or offs_a.max() >= count))
-            or (offs_b.size and (offs_b.min() < 0 or offs_b.max() >= count))
+            or (offs_a.size and (min(offs_a.min(), offs_b.min()) < 0
+                                 or max(offs_a.max(), offs_b.max()) >= len(views)))
         ):
             # Odd shapes/offsets (negative indexing, mismatched arrays):
             # the generic path preserves exact scalar semantics.
             return super().diff_offsets_batch(batch, offsets_a, offsets_b)
         if offs_a.size == 0:
             return []
-
         field = self.scheme.field
         one = field.encode(1)
         minus_one = field.neg(one)
-        serials_a = first + offs_a
-        serials_b = first + offs_b
-        evals = self._evals_matrix(vec)
-        col = pid + 1
-        va = evals[serials_a, col]
-        vb = evals[serials_b, col]
+        sa, sb = views.serials[offs_a], views.serials[offs_b]
+        va, vb = views.values[offs_a], views.values[offs_b]
         m = int(offs_a.size)
         prof = get_profiler()
-        if minus_one == one:  # characteristic 2: a - b == a + b
-            values = vec.add(va, vb)
-            coeff_b = one
-            if prof.enabled:
-                prof.count("fields", "add", m)
-        else:
-            values = vec.add(va, vec.scale(vb, minus_one))
-            coeff_b = minus_one
-            if prof.enabled:
-                prof.count("fields", "add", m)
-                prof.count("fields", "mul", m)
         if prof.enabled:
+            prof.count("fields", "add", m)
             prof.count("vss", "combine_batched", m)
-
-        out = []
-        for sa, sb, value in zip(
-            serials_a.tolist(), serials_b.tolist(), values.tolist()
-        ):
-            if sa == sb:
-                terms: Terms = ()  # coefficients cancel (1 + (-1) = 0)
-            elif sa < sb:
-                terms = ((sa, one), (sb, coeff_b))
-            else:
-                terms = ((sb, coeff_b), (sa, one))
-            out.append(IdealShareView(self, pid, terms, int(value)))
-        return out
+        if minus_one != one:  # odd characteristic: a - b = a + (-1)b
+            vb = vec.scale(vb, minus_one)
+            if prof.enabled:
+                prof.count("fields", "mul", m)
+        # Terms sorted by serial; a - a cancels to no terms (and value 0).
+        a_first = (sa < sb)[:, None]
+        pairs = np.stack([np.minimum(sa, sb), np.maximum(sa, sb)], axis=1)
+        coeffs = np.where(a_first, [one, minus_one], [minus_one, one])
+        keep = np.repeat(sa != sb, 2)
+        starts = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(keep.reshape(m, 2).sum(axis=1), out=starts[1:])
+        return ShareBlock(
+            self, views.pid, starts, pairs.reshape(-1)[keep],
+            coeffs.reshape(-1)[keep].astype(views.values.dtype),
+            vec.add(va, vb).astype(views.values.dtype, copy=False),
+        )
 
     def sum_offsets_batch(self, batches, offset_columns):
         if len(batches) != len(offset_columns):
@@ -702,48 +659,40 @@ class IdealVSSSession(VSSSession):
             return []
         m = len(offset_columns[0])
         vec = self._use_vector(m * len(batches), VECTOR_COMBINE_MIN)
-        handles = [getattr(b, "handle", None) for b in batches]
-        if vec is None or any(h is None for h in handles):
+        blocks = [batch.views for batch in batches]
+        if vec is None or not all(
+            self._is_dealt(b) and b.pid == blocks[0].pid for b in blocks
+        ):
             return super().sum_offsets_batch(batches, offset_columns)
-        pid = handles[0][2]
-        if any(h[2] != pid for h in handles):
+        offsets = [np.asarray(column, dtype=np.int64) for column in offset_columns]
+        if any(
+            o.shape != (m,) or (m and (o.min() < 0 or o.max() >= len(b)))
+            for b, o in zip(blocks, offsets)
+        ):
             return super().sum_offsets_batch(batches, offset_columns)
-
-        import numpy as np
-
-        serial_rows = []
-        for handle, column in zip(handles, offset_columns):
-            first, count, _ = handle
-            offs = np.asarray(column, dtype=np.int64)
-            if (
-                offs.ndim != 1
-                or offs.shape[0] != m
-                or (offs.size and (offs.min() < 0 or offs.max() >= count))
-            ):
-                return super().sum_offsets_batch(batches, offset_columns)
-            serial_rows.append(first + offs)
-        serial_matrix = np.stack(serial_rows, axis=0)  # (num_batches, m)
-        sorted_serials = np.sort(serial_matrix, axis=0)
-        if (np.diff(sorted_serials, axis=0) == 0).any():
+        serials = np.sort(
+            np.stack([b.serials[o] for b, o in zip(blocks, offsets)]), axis=0
+        )
+        if (np.diff(serials, axis=0) == 0).any():
             # Duplicate serials in one sum would need coefficient
             # merging; distinct dealt batches never overlap, so this
             # only happens for hand-built inputs — defer.
             return super().sum_offsets_batch(batches, offset_columns)
-
-        evals = self._evals_matrix(vec)
-        values = vec.reduce_sum(evals[serial_matrix, pid + 1], axis=0)
+        values = vec.reduce_sum(
+            np.stack([b.values[o] for b, o in zip(blocks, offsets)]), axis=0
+        )
         prof = get_profiler()
         if prof.enabled:
-            prof.count("fields", "add", m * max(0, len(batches) - 1))
+            prof.count("fields", "add", m * (len(blocks) - 1))
             prof.count("vss", "combine_batched", m)
-        one = self.scheme.field.encode(1)
-        out = []
-        for col_serials, value in zip(
-            sorted_serials.T.tolist(), values.tolist()
-        ):
-            terms = tuple((s, one) for s in col_serials)
-            out.append(IdealShareView(self, pid, terms, int(value)))
-        return out
+        width = len(blocks)
+        dtype = blocks[0].values.dtype
+        return ShareBlock(
+            self, blocks[0].pid, np.arange(0, width * m + 1, width),
+            serials.T.reshape(-1),
+            np.full(width * m, self.scheme.field.encode(1), dtype=dtype),
+            values.astype(dtype, copy=False),
+        )
 
     def verify_and_combine(
         self, payloads: Mapping[int, Any], verifier: int | None = None
@@ -755,24 +704,34 @@ class IdealVSSSession(VSSSession):
         at ``i``'s evaluation point (real schemes achieve this check via
         ICP / error correction).  The value of the terms-group with at
         least ``t + 1`` accepted payloads is reconstructed by Lagrange
-        interpolation of the accepted points.
+        interpolation of the accepted points.  Payloads from outside the
+        party set, or naming values that were never dealt or
+        coefficients outside the field, are rejected.
         """
         get_profiler().count("vss", "verify_and_combine")
         field = self.scheme.field
         quorum = self.scheme.t + 1
+        n = self.scheme.n
         groups: dict[Terms, list[tuple[int, int]]] = {}
         for sender, payload in payloads.items():
             if (
-                type(payload) is not tuple
+                type(sender) is not int
+                or not 0 <= sender < n
+                or type(payload) is not tuple
                 or len(payload) != 3
+                or type(payload[0]) is not int
                 or payload[0] != sender
+                or type(payload[1]) is not tuple
                 or type(payload[2]) is not int
             ):
                 continue  # malformed or mis-attributed payload: rejected
-            groups.setdefault(payload[1], []).append((sender, payload[2]))
+            try:
+                groups.setdefault(payload[1], []).append((sender, payload[2]))
+            except TypeError:
+                continue  # unhashable terms: rejected
 
         evals = self._evals
-        num_values = len(evals)
+        dealt, order = len(evals), field.order
         add, mul = field.add, field.mul
         # Largest claimed group first; within a group, verify members
         # lazily — with >= t+1 honest contributors the first quorum of
@@ -780,21 +739,22 @@ class IdealVSSSession(VSSSession):
         for terms, members in sorted(groups.items(), key=lambda kv: -len(kv[1])):
             if len(members) < quorum:
                 break
-            if type(terms) is not tuple or not all(
+            if not all(
                 type(term) is tuple
                 and len(term) == 2
                 and type(term[0]) is int
-                and 0 <= term[0] < num_values
+                and 0 <= term[0] < dealt
                 and type(term[1]) is int
+                and 0 <= term[1] < order
                 for term in terms
             ):
-                continue  # references to non-existent sharings: rejected
+                continue  # never-dealt values or non-field coefficients
             pts: list[tuple[int, int]] = []
             for sender, value in members:
                 x_index = sender + 1
                 expected = 0
                 for serial, coeff in terms:
-                    expected = add(expected, mul(coeff, evals[serial][x_index]))
+                    expected = add(expected, mul(coeff, evals.item(serial, x_index)))
                 if expected != value:
                     continue  # forged share value: rejected (w.h.p. in reality)
                 pts.append((x_index, value))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.fields import FieldElement, Polynomial, interpolate_at
-from repro.network import Program, RoundOutput
+from repro.network import Program, RoundOutput, SizedPayload
 from repro.sharing import ICPKey, ICPTag, SymmetricBivariate, icp_verify
 
 from .base import (
@@ -465,6 +465,19 @@ class RB89VSSSession(VSSSession):
         if not isinstance(view, RB89ShareView):
             raise TypeError("expected an RB89ShareView")
         return (pid, view.terms, view.value, view.tags)
+
+    def reveal_payloads_batch(self, pid: int, views: Sequence[ShareView]) -> Any:
+        """Reveal payloads, their wire size counted once here.
+
+        A payload ``(pid, terms, value, tags)`` is 2 atoms plus 4 per
+        term (``((dealer, ordinal), k), coefficient``) plus 5 per tag
+        (the key ``((dealer, ordinal), verifier)`` and the ICP tag's two
+        field elements): what :func:`~repro.network.payload_size` would
+        count walking it, without the walk's dataclass path per tag.
+        """
+        payloads = [self.reveal_payload(pid, view) for view in views]
+        size = sum(2 + 4 * len(p[1]) + 5 * len(p[3]) for p in payloads)
+        return SizedPayload(payloads, size)
 
     def _public_value_of_terms(self, terms: RBTerms, sender: int) -> int | None:
         """If every term's share of ``sender`` is public, compute it."""

@@ -276,7 +276,7 @@ class TestIdealVSSIntegration:
         session_s._vector = None
         session_s._deal(0, 0, secrets, pyrandom.Random(42))
 
-        assert session_v._evals == session_s._evals
+        assert np.array_equal(session_v._evals, session_s._evals)
 
     def test_small_batches_use_scalar_path(self):
         import random as pyrandom

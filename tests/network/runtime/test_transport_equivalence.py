@@ -33,6 +33,18 @@ from repro.vss import IdealVSS
 import random
 
 
+class RecordingAdversary(PassiveAdversary):
+    """A passive adversary that keeps every corrupted party's view."""
+
+    def __init__(self, corrupted, programs):
+        super().__init__(corrupted, programs)
+        self.views = []
+
+    def observe_inputs(self, inputs):
+        self.views.append(dict(inputs))
+        super().observe_inputs(inputs)
+
+
 def _gossip_programs(n: int, rounds: int = 4, seed: int = 0):
     """A chatty synthetic protocol: point-to-point sums + a broadcast."""
 
@@ -126,7 +138,7 @@ class TestRunProtocolEquivalence:
 
         def mk():
             progs = _gossip_programs(n, seed=9)
-            adv = PassiveAdversary({n - 1}, {n - 1: progs[n - 1]})
+            adv = RecordingAdversary({n - 1}, {n - 1: progs[n - 1]})
             return progs, adv
 
         progs_l, adv_l = mk()

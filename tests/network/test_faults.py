@@ -218,3 +218,81 @@ class TestComposition:
         out = res.outputs[0]
         for i in range(3):
             assert out.output[50 + i] >= 1  # honest messages survive
+
+
+class TestTampersOnShareColumns:
+    """Every fault model treats a share column exactly like the list of
+    ``(sender, terms, value)`` tuples it stands for: each recipient gets
+    the same content and the same accounted size from both forms."""
+
+    @staticmethod
+    def _column(seed):
+        import numpy as np
+
+        from repro.network import ShareColumn
+
+        rng = random.Random(seed)
+        lengths = [rng.randrange(0, 4) for _ in range(rng.randrange(1, 30))]
+        starts = [0]
+        for length in lengths:
+            starts.append(starts[-1] + length)
+        serials = [rng.randrange(1000) for _ in range(starts[-1])]
+        coefficients = [rng.randrange(1 << 16) for _ in range(starts[-1])]
+        values = [rng.randrange(1 << 16) for _ in lengths]
+        return ShareColumn(
+            3, starts, np.array(serials, dtype=np.int64),
+            np.array(coefficients, dtype=np.uint32),
+            np.array(values, dtype=np.uint32),
+        )
+
+    @staticmethod
+    def _content(payload):
+        from repro.network import ShareColumn
+
+        if isinstance(payload, ShareColumn):
+            return ("column", payload.payloads())
+        if isinstance(payload, list):
+            return ("column", list(payload))
+        return ("other", payload)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: flip_integers(0x7),
+            lambda seed: flip_integers(1 << 40),
+            lambda seed: drop_messages(0.5, random.Random(seed)),
+            lambda seed: garble_everything(),
+            lambda seed: compose_tampers(
+                drop_messages(0.3, random.Random(seed)), flip_integers(1)
+            ),
+        ],
+        ids=["flip", "flip-wide-mask", "drop", "garble", "drop+flip"],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_column_and_tuple_list_tamper_alike(self, make, seed):
+        from repro.network import payload_size
+
+        column = self._column(seed)
+        tuples = column.payloads()
+        recipients = [0, 1, 2, 4]
+        got = {}
+        for form, payload in (("column", column), ("tuples", tuples)):
+            out = RoundOutput(private={j: payload for j in recipients})
+            tampered = make(seed)(3, _view(), out)
+            got[form] = {
+                j: (self._content(p), payload_size(p))
+                for j, p in tampered.private.items()
+            }
+        assert got["column"] == got["tuples"]
+
+    def test_flip_builds_one_column_per_call(self):
+        """A column sent to several recipients is flipped once per round,
+        into a new column: the sender's own arrays never change."""
+        column = self._column(1)
+        before = column.values.copy()
+        out = RoundOutput(private={j: column for j in (0, 1, 2)})
+        tampered = flip_integers(0x7)(3, _view(), out)
+        flipped = {id(p) for p in tampered.private.values()}
+        assert len(flipped) == 1
+        assert (column.values == before).all()
+        assert (tampered.private[0].values == before ^ 0x7).all()

@@ -23,6 +23,18 @@ def echo_program(pid, n, value):
     return dict(inbox.private)
 
 
+class RecordingAdversary(PassiveAdversary):
+    """A passive adversary that keeps every corrupted party's view."""
+
+    def __init__(self, corrupted, programs):
+        super().__init__(corrupted, programs)
+        self.views = []
+
+    def observe_inputs(self, inputs):
+        self.views.append(dict(inputs))
+        super().observe_inputs(inputs)
+
+
 def broadcast_program(pid, n, value):
     """Round 1: broadcast value; return the broadcast map received."""
     inbox = yield RoundOutput(broadcast=value)
@@ -227,7 +239,7 @@ class TestAdversaries:
     def test_passive_adversary_follows_protocol(self):
         n = 4
         programs = {i: echo_program(i, n, f"m{i}") for i in range(n)}
-        adv = PassiveAdversary({3}, {3: echo_program(3, n, "m3")})
+        adv = RecordingAdversary({3}, {3: echo_program(3, n, "m3")})
         result = run_protocol(programs, adversary=adv)
         assert result.outputs[0] == {1: "m1", 2: "m2", 3: "m3"}
         # The adversary recorded party 3's view.

@@ -1,5 +1,7 @@
 """The shrinker: minimal reproducers for violating configs."""
 
+import pytest
+
 from repro.testkit import CampaignConfig, run_config, shrink_config
 from repro.testkit.cli import build_registry
 
@@ -14,15 +16,25 @@ def _big_config(**kw):
     return CampaignConfig(**base)
 
 
+@pytest.fixture(scope="module")
+def shrunk():
+    """One shrink of the big config against an always-failing checker.
+
+    A shrink runs dozens of protocol configs, so the tests that only
+    inspect its result share this one.
+    """
+    registry = build_registry(selftest_break="broken")
+    return shrink_config(
+        _big_config(), "broken", campaign_seed=0, registry=registry
+    )
+
+
 class TestShrinkWithInjectedChecker:
     """An intentionally-broken (always-failing) checker must shrink to
     the smallest expressible config — the acceptance-criteria path."""
 
-    def test_shrinks_every_axis_to_the_floor(self):
-        registry = build_registry(selftest_break="broken")
-        result = shrink_config(
-            _big_config(), "broken", campaign_seed=0, registry=registry
-        )
+    def test_shrinks_every_axis_to_the_floor(self, shrunk):
+        result = shrunk
         m = result.minimal
         assert result.shrank and result.steps
         assert m.fault == "none"
@@ -36,22 +48,19 @@ class TestShrinkWithInjectedChecker:
         assert m.substrate == "auto"
         assert m.trials == 1
 
-    def test_minimal_config_still_violates(self):
+    def test_minimal_config_still_violates(self, shrunk):
         registry = build_registry(selftest_break="broken")
-        result = shrink_config(
-            _big_config(), "broken", campaign_seed=0, registry=registry
-        )
-        rerun = run_config(result.minimal, 0, registry)
+        rerun = run_config(shrunk.minimal, 0, registry)
         assert any(
             o.invariant == "broken" and o.applicable and not o.passed
             for o in rerun.outcomes
         )
 
-    def test_shrink_is_deterministic(self):
+    def test_shrink_is_deterministic(self, shrunk):
+        """A second, independent shrink reproduces the shared one."""
         registry = build_registry(selftest_break="broken")
-        a = shrink_config(_big_config(), "broken", registry=registry)
-        b = shrink_config(_big_config(), "broken", registry=registry)
-        assert a.to_dict() == b.to_dict()
+        again = shrink_config(_big_config(), "broken", registry=registry)
+        assert again.to_dict() == shrunk.to_dict()
 
     def test_attempt_budget_is_respected(self):
         registry = build_registry(selftest_break="broken")

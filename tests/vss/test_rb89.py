@@ -220,3 +220,48 @@ class TestAnonChanOverRB89:
         )
         for out in result.outputs.values():
             assert out == material.challenge_share
+
+
+class TestRevealSizes:
+    """RB89 reveal columns carry their wire size from construction; it
+    must equal what ``payload_size`` counts walking the same payloads."""
+
+    @pytest.mark.parametrize("garbler", [None, 3], ids=["honest", "garbled"])
+    def test_precomputed_size_equals_the_walk(self, garbler, monkeypatch):
+        from repro.core import run_anonchan, scaled_parameters
+        from repro.network import SizedPayload, payload_size
+        from repro.network.faults import garble_everything
+        from repro.vss.rb89 import RB89VSSSession
+
+        columns = []
+        reveal = RB89VSSSession.reveal_payloads_batch
+
+        def recording(self, pid, views):
+            column = reveal(self, pid, views)
+            columns.append(column)
+            return column
+
+        monkeypatch.setattr(RB89VSSSession, "reveal_payloads_batch", recording)
+        params = scaled_parameters(n=4, d=3, kappa=16, num_checks=2)
+        scheme = RB89VSS(params.field, params.n, params.t)
+        messages = {pid: params.field(50 + pid) for pid in range(params.n)}
+        factory = None
+        if garbler is not None:
+            def factory(protocol, session):
+                program = protocol.party_program(
+                    garbler, session, messages[garbler],
+                    random.Random((5 << 16) | garbler),
+                )
+                return TamperingAdversary(
+                    {garbler}, {garbler: program}, garble_everything()
+                )
+        result = run_anonchan(
+            params, scheme, messages, seed=5, adversary_factory=factory
+        )
+        if garbler is not None:
+            assert garbler not in result.outputs[0].vss_qualified
+        assert columns and all(type(c) is SizedPayload for c in columns)
+        for column in columns:
+            assert column.payload_elements == payload_size(list(column))
+        # Views combined across dealers carry several terms and tags.
+        assert max(len(p[1]) for c in columns for p in c) > 1
