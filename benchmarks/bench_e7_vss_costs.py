@@ -124,7 +124,7 @@ def test_e7_bgw_share_throughput(benchmark):
             pid: party(pid, random.Random(pid)) for pid in range(4)
         }
         result = run_protocol(programs)
-        assert result.outputs[1] == secrets
+        assert result.outputs[1].tolist() == secrets
         return result
 
     benchmark.pedantic(run, rounds=3, iterations=1)

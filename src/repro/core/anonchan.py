@@ -198,7 +198,7 @@ class AnonChan:
                     ]
                 )
                 opened = yield from session.open_program(pid, [r_view])
-                challenge = opened[0]
+                challenge = field(int(opened[0]))
             else:
                 yield RoundOutput.silent()
                 challenge = field.zero()
@@ -221,19 +221,16 @@ class AnonChan:
             stage1_values = yield from session.open_program(pid, stage1_views)
 
         passed = set(vss_qualified)
-        decoded: dict[tuple[int, int], Any] = {}
+        decoded: dict[tuple[int, int], np.ndarray | None] = {}
         for i, j, lo, hi in stage1_slices:
             values = stage1_values[lo:hi]
             if bits[j] == 0:
-                perm = validate_permutation_opening(values)
-                if perm is None:
-                    passed.discard(i)
-                decoded[(i, j)] = perm
+                indices = validate_permutation_opening(values)
             else:
-                idx = validate_index_list_opening(values, params.ell, params.d)
-                if idx is None:
-                    passed.discard(i)
-                decoded[(i, j)] = idx
+                indices = validate_index_list_opening(values, params.ell, params.d)
+            if indices is None:
+                passed.discard(i)
+            decoded[(i, j)] = indices
 
         # ---- step 3, stage 2: open the derived zero-combinations ------------
         # Per check, bit 0 opens the 2l differences pi_j(v) - w_j and
@@ -293,20 +290,18 @@ class AnonChan:
                 g_values = yield from session.open_program(pid, g_views)
                 g_perms = []
                 for i in range(n):
-                    perm = validate_permutation_opening(
+                    images = validate_permutation_opening(
                         g_values[i * params.ell : (i + 1) * params.ell]
                     )
                     # A malformed g_i (only possible if the receiver cheats,
                     # in which case no guarantee involving it applies) falls
                     # back to the identity so the protocol still terminates.
                     g_perms.append(
-                        perm
-                        if perm is not None
-                        else Permutation.identity(params.ell)
+                        images if images is not None else np.arange(params.ell)
                     )
             else:
                 yield RoundOutput.silent()
-                g_perms = [Permutation.identity(params.ell) for _ in range(n)]
+                g_perms = [np.arange(params.ell) for _ in range(n)]
 
         pass_sorted = sorted(passed)
         payloads = []
@@ -334,23 +329,22 @@ class AnonChan:
                 # Batched "internally simulate VSS-Rec": both halves of
                 # all l coordinates are verified and recombined in one
                 # call (the VSS layer's numpy fast path); corrupted
-                # coordinates come back as None and zero out that
-                # coordinate only.
-                opened = session.reconstruct_private_batch(
+                # positions come back cleared in the mask and zero out
+                # that coordinate only.
+                opened, reconstructed = session.reconstruct_private_batch(
                     collected,
                     count=len(payloads),
                     verifier=pid,
                     views=step4_views,
                 )
                 xs, tags, failed = pair_opened_coordinates(
-                    field, opened, params.ell
+                    opened, reconstructed, params.ell
                 )
             else:
                 # No prover survived cut-and-choose: nothing was dealt
                 # into the final vector, so there is nothing to
                 # reconstruct — any column arriving now is unsolicited.
-                xs = [field.zero() for _ in range(params.ell)]
-                tags = [field.zero() for _ in range(params.ell)]
+                xs = tags = np.zeros(params.ell, dtype=np.uint64)
                 failed = 0
             final_vector = vector_from_opened(field, xs, tags)
             output = extract_output(params, final_vector)

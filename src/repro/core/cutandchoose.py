@@ -26,9 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.fields import FieldElement
-from repro.vss import ShareView
+from repro.vss import ShareView, integers_below
 
-from .darts import Permutation
 from .layout import DealerLayout
 
 
@@ -62,24 +61,49 @@ def stage1_offsets(layout: DealerLayout, j: int, bit: int) -> list[int]:
     return list(range(*stage1_slice(layout, j, bit)))
 
 
-def validate_permutation_opening(
-    values: Sequence[FieldElement],
-) -> Permutation | None:
-    """Decode an opened permutation; ``None`` disqualifies the prover."""
-    return Permutation.from_field_elements(values)
+def _indices_below(values: np.ndarray, bound: int) -> np.ndarray | None:
+    """``values`` as int64 indices if each is an integer in ``[0, bound)``.
+
+    Opened encodings arrive as ``uint64`` or, beyond 64-bit fields,
+    ``object`` arrays; both are range-checked before the cast, so a
+    large encoding can never wrap into a valid index.
+    """
+    if values.ndim == 1 and integers_below(values, bound):
+        return values.astype(np.int64)
+    return None
+
+
+def validate_permutation_opening(values: np.ndarray) -> np.ndarray | None:
+    """Decode an opened permutation; ``None`` disqualifies the prover.
+
+    Valid = the ``m`` opened images are exactly ``0 .. m-1``.  Returns
+    the images as an int64 index array.
+    """
+    values = np.asarray(values)
+    images = _indices_below(values, values.size)
+    if images is None:
+        return None
+    seen = np.zeros(len(images), dtype=bool)
+    seen[images] = True
+    return images if seen.all() else None
 
 
 def validate_index_list_opening(
-    values: Sequence[FieldElement], ell: int, d: int
-) -> list[int] | None:
+    values: np.ndarray, ell: int, d: int
+) -> np.ndarray | None:
     """Decode an opened index list; ``None`` disqualifies the prover.
 
-    Valid = exactly ``d`` distinct indices within ``[0, ell)``.
+    Valid = exactly ``d`` distinct indices within ``[0, ell)``.  Returns
+    them in opened order as an int64 index array.
     """
-    indices = [int(v) for v in values]
-    if len(indices) != d or len(set(indices)) != d:
+    values = np.asarray(values)
+    if values.size != d:
         return None
-    if any(not 0 <= k < ell for k in indices):
+    indices = _indices_below(values, ell)
+    if indices is None:
+        return None
+    ordered = np.sort(indices)
+    if (ordered[1:] == ordered[:-1]).any():
         return None
     return indices
 
@@ -87,21 +111,21 @@ def validate_index_list_opening(
 def stage2_plan_bit0(
     layout: DealerLayout,
     j: int,
-    perm: Permutation,
+    images: Sequence[int],
     batch_views: Sequence[ShareView],
 ) -> Stage2Plan:
     """Views of ``u = pi_j(v) - w_j`` (both halves of every coordinate).
 
-    ``u[k] = v[pi_j(k)] - w_j[k]``; the difference is computed via the
-    generic ``scale(-1)`` so the code stays field-agnostic, but in a
-    characteristic-2 field ``-1 == 1`` and the scaling is skipped —
-    these plans cover ``2 l`` view combinations per (prover, check), so
-    the no-op copies were measurable.
+    ``images`` are pi_j's decoded images.  ``u[k] = v[pi_j(k)] - w_j[k]``;
+    the difference is computed via the generic ``scale(-1)`` so the code
+    stays field-agnostic, but in a characteristic-2 field ``-1 == 1``
+    and the scaling is skipped — these plans cover ``2 l`` view
+    combinations per (prover, check), so the no-op copies were
+    measurable.
     """
     negate = _negate_fn(layout)
     views = []
-    for k in range(layout.ell):
-        src = perm(k)
+    for k, src in enumerate(np.asarray(images).tolist()):
         views.append(
             batch_views[layout.vec_x(src)]
             + negate(batch_views[layout.w_x(j, k)])
@@ -134,6 +158,7 @@ def stage2_plan_bit1(
     consecutive listed pairs, the differences of both halves.
     """
     negate = _negate_fn(layout)
+    index_list = np.asarray(index_list).tolist()
     listed = set(index_list)
     views: list[ShareView] = []
     for k in range(layout.ell):
@@ -141,7 +166,7 @@ def stage2_plan_bit1(
             continue
         views.append(batch_views[layout.w_x(j, k)])
         views.append(batch_views[layout.w_a(j, k)])
-    for prev, cur in zip(index_list, list(index_list)[1:]):
+    for prev, cur in zip(index_list, index_list[1:]):
         views.append(
             batch_views[layout.w_x(j, cur)]
             + negate(batch_views[layout.w_x(j, prev)])
@@ -154,18 +179,19 @@ def stage2_plan_bit1(
 
 
 def stage2_offsets_bit0(
-    layout: DealerLayout, j: int, perm: Permutation
+    layout: DealerLayout, j: int, images: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Offset arrays for the bit-0 differences ``u = pi_j(v) - w_j``.
 
-    Returns parallel ``(minuend, subtrahend)`` offset arrays of length
-    ``2 l``, interleaved exactly like :func:`stage2_plan_bit0`'s views:
+    ``images`` are pi_j's decoded images.  Returns parallel
+    ``(minuend, subtrahend)`` offset arrays of length ``2 l``,
+    interleaved exactly like :func:`stage2_plan_bit0`'s views:
     ``(x half, tag half)`` per coordinate.  Feeding them to the VSS
     layer's ``diff_offsets_batch`` yields view-for-view the same result
     as the scalar plan (the differential harness asserts this).
     """
     ell = layout.ell
-    src = np.asarray(perm.mapping, dtype=np.int64)
+    src = np.asarray(images, dtype=np.int64)
     ks = np.arange(ell, dtype=np.int64)
     offs_a = np.empty(2 * ell, dtype=np.int64)
     offs_b = np.empty(2 * ell, dtype=np.int64)
@@ -189,7 +215,7 @@ def stage2_offsets_bit1(
     """
     ell = layout.ell
     w_x0 = layout.w_x(j, 0)
-    idx = np.asarray(list(index_list), dtype=np.int64)
+    idx = np.asarray(index_list, dtype=np.int64)
     listed = np.zeros(ell, dtype=bool)
     listed[idx] = True
     ks = np.flatnonzero(~listed)
@@ -206,9 +232,9 @@ def stage2_offsets_bit1(
     return passthrough, offs_a, offs_b
 
 
-def stage2_passes(values: Sequence[FieldElement]) -> bool:
+def stage2_passes(values: np.ndarray) -> bool:
     """Both branches succeed iff every reconstructed value is zero."""
-    return all(not v for v in values)
+    return not np.asarray(values).any()
 
 
 def challenge_bits(r: FieldElement, num_checks: int) -> list[int]:

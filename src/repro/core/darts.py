@@ -68,23 +68,6 @@ class Permutation:
             {inv(k): pair for k, pair in vector.entries.items()},
         )
 
-    def to_field_elements(self, field: Field) -> list[FieldElement]:
-        """Encode for VSS sharing: image indices as field elements."""
-        return [field(v) for v in self.mapping]
-
-    @classmethod
-    def from_field_elements(
-        cls, values: Sequence[FieldElement | int]
-    ) -> "Permutation | None":
-        """Decode a reconstructed permutation; ``None`` if invalid."""
-        try:
-            m = [int(v) for v in values]
-        except (TypeError, ValueError):
-            return None
-        if sorted(m) != list(range(len(m))):
-            return None
-        return cls(m)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.mapping == other.mapping
 

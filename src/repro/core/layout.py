@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fields import FieldElement
+from repro.fields import Field, FieldElement
+from repro.vss import encoding_dtype, integers_below
 
 from .darts import Permutation, SparseVector, fresh_tag, make_dart_vector
 from .params import AnonChanParams
@@ -46,6 +47,9 @@ class ProverMaterial:
         for w in self.ws:
             if w.length != params.ell:
                 raise ValueError("w length mismatch")
+        for perm in self.perms:
+            if len(perm) != params.ell:
+                raise ValueError("permutation length mismatch")
         for idx in self.index_lists:
             if len(idx) != params.d:
                 raise ValueError("index lists must have length d")
@@ -116,37 +120,51 @@ class DealerLayout:
         return self.total - 1
 
     # -- serialization ------------------------------------------------------
-    def build_secrets(self, material: ProverMaterial) -> list[FieldElement]:
-        """Flatten prover material into the batch of secrets to share."""
+    def build_secrets(self, material: ProverMaterial) -> np.ndarray:
+        """Flatten prover material into the batch of secrets to share.
+
+        One 1-D array of raw encodings, a slice per layout block.
+        """
         material.validate_shape(self.params)
-        field = self.params.field
-        out = [0] * self.total
-        for k, x in enumerate(material.vector.component(0)):
-            out[self.vec_x(k)] = x
-        for k, a in enumerate(material.vector.component(1)):
-            out[self.vec_a(k)] = a
+        ell, d = self.ell, self.d
+        out: list = [0] * self.total
+        out[self.vec_x(0) : self.vec_x(0) + ell] = material.vector.component(0)
+        out[self.vec_a(0) : self.vec_a(0) + ell] = material.vector.component(1)
         for j in range(self.num_checks):
-            for k, x in enumerate(material.ws[j].component(0)):
-                out[self.w_x(j, k)] = x
-            for k, a in enumerate(material.ws[j].component(1)):
-                out[self.w_a(j, k)] = a
-            for k, image in enumerate(material.perms[j].mapping):
-                out[self.perm(j, k)] = image
-            for m, index in enumerate(material.index_lists[j]):
-                out[self.idx(j, m)] = index
+            w = material.ws[j]
+            out[self.w_x(j, 0) : self.w_x(j, 0) + ell] = w.component(0)
+            out[self.w_a(j, 0) : self.w_a(j, 0) + ell] = w.component(1)
+            out[self.perm(j, 0) : self.perm(j, 0) + ell] = material.perms[j].mapping
+            out[self.idx(j, 0) : self.idx(j, 0) + d] = material.index_lists[j]
         out[self.challenge()] = material.challenge_share.value
-        return [field(v) for v in out]
+        return encodings(self.params.field, out)
 
 
-def step4_offsets(layout: DealerLayout, perm: Permutation) -> np.ndarray:
+def encodings(field: Field, values: list) -> np.ndarray:
+    """``values`` as a raw-encoding array of ``field``.
+
+    Entries outside ``[0, order)`` — only a hostile prover's material
+    has them — go through :meth:`Field.encode`, as
+    :meth:`Field.element` would map them.
+    """
+    dtype = encoding_dtype(field)
+    raw = np.array(values)
+    if integers_below(raw, field.order):
+        return raw.astype(dtype)
+    return np.array([field.encode(v) for v in values], dtype=dtype)
+
+
+def step4_offsets(layout: DealerLayout, images: np.ndarray) -> np.ndarray:
     """Offsets of one prover's permuted vector for the step-4 sum.
 
+    ``images`` are the receiver permutation's images ``g(k)``, decoded
+    by :func:`~repro.core.cutandchoose.validate_permutation_opening`.
     Interleaved ``(vec_x(g(k)), vec_a(g(k)))`` per coordinate ``k`` —
     the per-prover offset column of the receiver sum
     ``v = sum over PASS of g_i(v^(i))``, consumed by the VSS layer's
     ``sum_offsets_batch``.
     """
-    src = np.asarray(perm.mapping, dtype=np.int64)
+    src = np.asarray(images, dtype=np.int64)
     out = np.empty(2 * src.size, dtype=np.int64)
     out[0::2] = src  # vec_x(g(k))
     out[1::2] = layout.ell + src  # vec_a(g(k))
@@ -165,13 +183,13 @@ class ReceiverLayout:
         """Image g_i(k), encoded as a field element."""
         return i * self.ell + k
 
-    def build_secrets(self, perms: list[Permutation]) -> list[FieldElement]:
+    def build_secrets(self, perms: list[Permutation]) -> np.ndarray:
+        """The n permutations' images, one after the other, as encodings."""
         if len(perms) != self.params.n:
             raise ValueError("need one permutation per party")
-        field = self.params.field
-        out = []
+        out: list = []
         for p in perms:
             if len(p) != self.ell:
                 raise ValueError("permutation length mismatch")
-            out.extend(field(v) for v in p.mapping)
-        return out
+            out.extend(p.mapping)
+        return encodings(self.params.field, out)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.fields import Field, FieldElement
 from repro.network import ShareColumn
 
@@ -43,37 +45,29 @@ def collect_step4_columns(
 
 
 def pair_opened_coordinates(
-    field: Field, opened: Sequence[FieldElement | None], ell: int
-) -> tuple[list[FieldElement], list[FieldElement], int]:
+    opened: np.ndarray, reconstructed: np.ndarray, ell: int
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Split the opened step-4 batch into ``(xs, tags, failed)``.
 
     The batch interleaves the two halves of each coordinate:
-    ``opened[2k]`` is ``x_k`` and ``opened[2k + 1]`` its tag.  A batch
-    whose length is not exactly ``2 * ell`` is malformed — the VSS
-    layer reports corrupted coordinates as ``None``, never by
-    truncation — and raises instead of silently zeroing a trailing
-    coordinate.  Each half is guarded independently; a coordinate with
-    either half corrupted is zeroed (and counted) as a pair.
+    ``opened[2k]`` is ``x_k`` and ``opened[2k + 1]`` its tag;
+    ``reconstructed`` is the VSS layer's mask of the positions it
+    could reconstruct.  A batch whose length is not exactly
+    ``2 * ell`` is malformed — the VSS layer reports corrupted
+    coordinates in the mask, never by truncation — and raises instead
+    of silently zeroing a trailing coordinate.  Each half is guarded
+    independently; a coordinate with either half corrupted is zeroed
+    (and counted) as a pair.
     """
-    if len(opened) != 2 * ell:
+    if len(opened) != 2 * ell or len(reconstructed) != 2 * ell:
         raise ValueError(
             f"malformed step-4 batch: expected {2 * ell} opened values "
             f"for ell={ell}, got {len(opened)}"
         )
-    xs: list[FieldElement] = []
-    tags: list[FieldElement] = []
-    failed = 0
-    for k in range(ell):
-        x_val = opened[2 * k]
-        tag_val = opened[2 * k + 1]
-        if x_val is None or tag_val is None:
-            xs.append(field.zero())
-            tags.append(field.zero())
-            failed += 1
-        else:
-            xs.append(x_val)
-            tags.append(tag_val)
-    return xs, tags, failed
+    whole = reconstructed[0::2] & reconstructed[1::2]
+    xs = np.where(whole, opened[0::2], 0)
+    tags = np.where(whole, opened[1::2], 0)
+    return xs, tags, ell - int(np.count_nonzero(whole))
 
 
 def extract_output(
@@ -96,12 +90,15 @@ def extract_output(
 
 
 def vector_from_opened(
-    field: Field, xs: Sequence[FieldElement], tags: Sequence[FieldElement]
+    field: Field, xs: np.ndarray, tags: np.ndarray
 ) -> SparseVector:
     """Assemble the receiver's reconstructed dense halves into a vector."""
-    return SparseVector.from_components(
-        field, [v.value for v in xs], [v.value for v in tags]
-    )
+    xs, tags = np.asarray(xs), np.asarray(tags)
+    if xs.shape != tags.shape:
+        raise ValueError("component length mismatch")
+    nonzero = np.flatnonzero((xs != 0) | (tags != 0))
+    pairs = zip(xs[nonzero].tolist(), tags[nonzero].tolist())
+    return SparseVector(field, len(xs), dict(zip(nonzero.tolist(), pairs)))
 
 
 def honest_input_multiset(messages: Sequence[FieldElement]) -> Counter:

@@ -18,6 +18,9 @@ from .base import (
     VSSScheme,
     VSSSession,
     combine_views,
+    encoding_dtype,
+    integers_below,
+    secret_array,
 )
 from .bgw import BGWVSS, BGWShareView, BGWVSSSession
 from .costs import (
@@ -39,6 +42,9 @@ __all__ = [
     "ShareView",
     "SharedBatch",
     "combine_views",
+    "encoding_dtype",
+    "integers_below",
+    "secret_array",
     "DEALER_DISQUALIFIED",
     "ReconstructionError",
     "IdealVSS",

@@ -17,6 +17,11 @@ box:
   the paper's step-4 *private* reconstruction, where parties send
   payloads to the receiver only and it "internally simulates VSS-Rec"
   via :meth:`VSSSession.verify_and_combine`.
+
+Dealt and opened values cross this boundary as raw field encodings in
+one 1-D numpy array: :func:`secret_array` checks what a dealer hands to
+``share_program``, and the batch openings return arrays of
+:func:`encoding_dtype`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.fields import Field, FieldElement
 from repro.network import Program, RoundOutput
@@ -50,6 +57,61 @@ DEALER_DISQUALIFIED = DealerDisqualifiedType()
 
 class ReconstructionError(Exception):
     """Raised when robust reconstruction cannot identify the secret."""
+
+
+def encoding_dtype(field: Field) -> np.dtype:
+    """The dtype of opened raw encodings of ``field``.
+
+    ``uint64`` when every encoding fits in 64 bits, ``object`` (Python
+    ints) for larger fields; every batch opening of every backend
+    returns this dtype, whatever its kernels compute in.
+    """
+    return np.dtype(np.uint64 if field.order <= 1 << 64 else object)
+
+
+def integers_below(values: np.ndarray, bound: int) -> bool:
+    """Every entry of ``values`` is an integer in ``[0, bound)``.
+
+    Integer arrays are compared in their own dtype and ``object``
+    arrays entry by entry, so no value is cast — and so possibly
+    wrapped — before it is checked.
+    """
+    kind = values.dtype.kind
+    if kind in "ui":
+        return not values.size or (
+            int(values.min()) >= 0 and int(values.max()) < bound
+        )
+    if kind == "O":
+        return all(
+            isinstance(v, (int, np.integer)) and 0 <= v < bound
+            for v in values.ravel().tolist()
+        )
+    return False
+
+
+def secret_array(field: Field, secrets: Any, count: int) -> np.ndarray:
+    """A dealer's secrets, checked at the VSS boundary.
+
+    ``secrets`` is a 1-D array of raw encodings (a sequence is accepted
+    too, its :class:`FieldElement` entries unwrapped to their
+    encodings).  Raises ``ValueError`` unless it is 1-D, holds exactly
+    ``count`` values and every value is an integer in
+    ``[0, field.order)``: the backends index field tables with these
+    values, so anything else must be refused here, not crash there.
+    """
+    if not isinstance(secrets, np.ndarray):
+        try:
+            values = [s.value if isinstance(s, FieldElement) else s for s in secrets]
+        except TypeError:
+            raise ValueError("secrets must be a 1-D array of raw encodings") from None
+        secrets = np.array(values, dtype=object)
+    if secrets.ndim != 1 or len(secrets) != count:
+        raise ValueError(
+            f"dealer supplied secrets of shape {secrets.shape} for a batch of {count}"
+        )
+    if not integers_below(secrets, field.order):
+        raise ValueError(f"secrets must be integers in [0, {field.order})")
+    return secrets
 
 
 @dataclass(frozen=True)
@@ -119,17 +181,18 @@ class VSSSession(ABC):
         self,
         pid: int,
         dealer: int,
-        secrets: Sequence[FieldElement] | None,
+        secrets: np.ndarray | Sequence[FieldElement] | None,
         rng: random.Random,
         count: int = 1,
     ) -> Program:
         """Party ``pid``'s program for a batch of parallel VSS-Share.
 
-        ``secrets`` is the dealer's input (``None`` for non-dealers);
-        ``count`` is the publicly known batch length — a protocol
-        parameter, so honest parties always agree on it even when the
-        dealer misbehaves.  Returns a :class:`SharedBatch` or
-        :data:`DEALER_DISQUALIFIED`.
+        ``secrets`` is the dealer's input (``None`` for non-dealers): a
+        1-D array of ``count`` raw encodings, checked by
+        :func:`secret_array`.  ``count`` is the publicly known batch
+        length — a protocol parameter, so honest parties always agree
+        on it even when the dealer misbehaves.  Returns a
+        :class:`SharedBatch` or :data:`DEALER_DISQUALIFIED`.
         """
 
     # -- reconstruction -----------------------------------------------------
@@ -165,32 +228,34 @@ class VSSSession(ABC):
         count: int,
         verifier: int | None = None,
         views: Sequence[ShareView] | None = None,
-    ) -> list[FieldElement | None]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Robustly reconstruct ``count`` values from payload columns.
 
         ``columns`` maps each sender to its list of ``count`` reveal
         payloads (senders with malformed column lengths must be
         filtered by the caller).  This is the batch form of the paper's
         step-4 private reconstruction: the designated receiver runs it
-        locally on privately received payloads.  Positions where no
-        value is identifiable yield ``None`` instead of raising, so one
-        corrupted coordinate cannot abort the whole opening.  ``views``
-        optionally carries the verifier's own share views for backends
-        with a batched fast path; this generic implementation ignores
-        it.
+        locally on privately received payloads.  Returns the opened
+        encodings (an :func:`encoding_dtype` array) and a boolean mask
+        of the positions that were reconstructed; a position where no
+        value is identifiable is ``False`` in the mask and 0 in the
+        array instead of raising, so one corrupted coordinate cannot
+        abort the whole opening.  ``views`` optionally carries the
+        verifier's own share views for backends with a batched fast
+        path; this generic implementation ignores it.
         """
-        results: list[FieldElement | None] = []
+        values = np.zeros(count, dtype=encoding_dtype(self.scheme.field))
+        ok = np.zeros(count, dtype=bool)
         for k in range(count):
             try:
-                results.append(
-                    self.verify_and_combine(
-                        {s: column[k] for s, column in columns.items()},
-                        verifier=verifier,
-                    )
-                )
+                values[k] = self.verify_and_combine(
+                    {s: column[k] for s, column in columns.items()},
+                    verifier=verifier,
+                ).value
             except (ReconstructionError, IndexError):
-                results.append(None)
-        return results
+                continue
+            ok[k] = True
+        return values, ok
 
     # -- batched linear algebra ---------------------------------------------
     # Generic implementations: correct for every backend, view-by-view.
@@ -295,7 +360,8 @@ class VSSSession(ABC):
         Every party sends its reveal payloads to every other party over
         the private channels (no broadcast needed: robustness of
         ``verify_and_combine`` makes equivocation ineffective) and
-        locally combines.  Returns the list of reconstructed values.
+        locally combines.  Returns the reconstructed encodings as one
+        1-D :func:`encoding_dtype` array, in the order of ``views``.
         """
         n = self.scheme.n
         payloads = self.reveal_payloads_batch(pid, views)
@@ -306,15 +372,14 @@ class VSSSession(ABC):
         for sender, payload in inbox.private.items():
             if isinstance(payload, (list, tuple)) and len(payload) == len(views):
                 columns.append((sender, payload))
-        results = []
-        for k in range(len(views)):
-            results.append(
-                self.verify_and_combine(
-                    {sender: payload[k] for sender, payload in columns},
-                    verifier=pid,
-                )
-            )
-        return results
+        results = [
+            self.verify_and_combine(
+                {sender: payload[k] for sender, payload in columns},
+                verifier=pid,
+            ).value
+            for k in range(len(views))
+        ]
+        return np.array(results, dtype=encoding_dtype(self.scheme.field))
 
 
 class VSSScheme(ABC):

@@ -32,6 +32,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.fields import FieldElement, Polynomial
 from repro.network import Program, RoundOutput
 from repro.sharing import DecodingError, SymmetricBivariate, berlekamp_welch
@@ -43,6 +45,7 @@ from .base import (
     ShareView,
     VSSScheme,
     VSSSession,
+    secret_array,
 )
 from .costs import BGW_COST
 
@@ -87,7 +90,7 @@ class BGWVSSSession(VSSSession):
         self,
         pid: int,
         dealer: int,
-        secrets: Sequence[FieldElement] | None,
+        secrets: np.ndarray | Sequence[FieldElement] | None,
         rng: random.Random,
         count: int = 1,
     ) -> Program:
@@ -100,12 +103,10 @@ class BGWVSSSession(VSSSession):
         if pid == dealer:
             if secrets is None:
                 raise ValueError("dealer must supply secrets")
-            if len(secrets) != count:
-                raise ValueError(
-                    f"dealer supplied {len(secrets)} secrets for a batch of {count}"
-                )
+            secrets = secret_array(field, secrets, count)
             bivariates = [
-                SymmetricBivariate.random(field, t, s, rng) for s in secrets
+                SymmetricBivariate.random(field, t, FieldElement(field, s), rng)
+                for s in secrets.tolist()
             ]
             row_msgs = {
                 j: [b.row(j + 1) for b in bivariates] for j in range(n)

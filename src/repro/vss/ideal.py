@@ -38,6 +38,8 @@ from .base import (
     VSSCost,
     VSSScheme,
     VSSSession,
+    encoding_dtype,
+    secret_array,
 )
 
 
@@ -294,7 +296,7 @@ class IdealVSSSession(VSSSession):
         self,
         dealer: int,
         batch_index: int,
-        secrets: Sequence[FieldElement] | RefuseType,
+        secrets: np.ndarray | RefuseType,
         rng: random.Random,
     ) -> None:
         key = (dealer, batch_index)
@@ -307,7 +309,7 @@ class IdealVSSSession(VSSSession):
         t, n, count = self.scheme.t, self.scheme.n, len(secrets)
         dtype = self._dtype()
         coeffs = np.empty((count, t + 1), dtype=dtype)
-        coeffs[:, 0] = [secret.value for secret in secrets]
+        coeffs[:, 0] = secrets
         coeffs[:, 1:] = draw_coefficients(rng, field, count * t).reshape(count, t)
         points = [field.encode(x) for x in range(n + 1)]
         vec = self._use_vector(count, VECTOR_DEAL_MIN)
@@ -377,20 +379,12 @@ class IdealVSSSession(VSSSession):
             np.array(coefficients, dtype=dtype), np.array(values, dtype=dtype),
         )
 
-    def _elements(self, raw: np.ndarray) -> list[FieldElement]:
-        """Field elements for raw encodings, one object per distinct value."""
-        field = self.scheme.field
-        distinct, inverse = np.unique(raw, return_inverse=True)
-        elements = np.empty(len(distinct), dtype=object)
-        elements[:] = [FieldElement(field, v) for v in distinct.tolist()]
-        return elements[inverse.reshape(-1)].tolist()
-
     # -- VSSSession interface ----------------------------------------------
     def share_program(
         self,
         pid: int,
         dealer: int,
-        secrets: Sequence[FieldElement] | RefuseType | None,
+        secrets: np.ndarray | Sequence[FieldElement] | RefuseType | None,
         rng: random.Random,
         count: int = 1,
     ) -> Program:
@@ -401,10 +395,8 @@ class IdealVSSSession(VSSSession):
         if pid == dealer:
             if secrets is None:
                 raise ValueError("dealer must supply secrets (or REFUSE)")
-            if not isinstance(secrets, RefuseType) and len(secrets) != count:
-                raise ValueError(
-                    f"dealer supplied {len(secrets)} secrets for a batch of {count}"
-                )
+            if not isinstance(secrets, RefuseType):
+                secrets = secret_array(scheme.field, secrets, count)
             self._deal(dealer, batch_index, secrets, rng)
 
         cost = scheme.cost
@@ -429,9 +421,10 @@ class IdealVSSSession(VSSSession):
     def open_program(self, pid: int, views):
         """Public opening of ``views`` (a block or a list of views).
 
-        Semantically identical to the base implementation.  Openings
-        large enough for the kernels travel as one :class:`ShareColumn`
-        per sender and are verified with array compares
+        Semantically identical to the base implementation, and like it
+        returns one array of opened encodings.  Openings large enough
+        for the kernels travel as one :class:`ShareColumn` per sender
+        and are verified with array compares
         (:meth:`_reconstruct_columns`); smaller ones, and the scalar
         reference path, open view by view as payload tuples.
         """
@@ -447,7 +440,8 @@ class IdealVSSSession(VSSSession):
         for sender, payload in inbox.private.items():
             if _plausible(payload, len(views)):
                 columns.append((sender, payload))
-        return self._reconstruct_columns(columns, views, pid, strict=True)
+        values, _ = self._reconstruct_columns(columns, views, pid, strict=True)
+        return values
 
     def reconstruct_private_batch(
         self,
@@ -455,13 +449,14 @@ class IdealVSSSession(VSSSession):
         count: int,
         verifier: int | None = None,
         views=None,
-    ) -> list[FieldElement | None]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Batch private reconstruction (paper step 4).
 
         When the reconstructing party supplies its own ``views`` (it
         always holds shares of the values being opened), the verified
-        recombination of :meth:`open_program` is reused, with ``None``
-        for positions that cannot be reconstructed instead of raising.
+        recombination of :meth:`open_program` is reused; positions that
+        cannot be reconstructed are cleared in the returned mask (and
+        hold 0) instead of raising.
         """
         if views is not None and len(views) == count:
             plausible = [
@@ -483,8 +478,10 @@ class IdealVSSSession(VSSSession):
         lie on its degree-``t`` polynomial, so they interpolate to
         exactly that.  Every other position falls back to
         :meth:`verify_and_combine` over all senders' payloads.
-        ``strict`` propagates :class:`ReconstructionError` (public
-        openings must abort); otherwise failed positions yield ``None``.
+        Returns the opened encodings and the mask of reconstructed
+        positions.  ``strict`` propagates :class:`ReconstructionError`
+        (public openings must abort); otherwise a failed position is
+        cleared in the mask and holds 0, never the functionality's value.
         """
         count = len(views)
         vec = self._use_vector(count, VECTOR_OPEN_MIN)
@@ -492,8 +489,9 @@ class IdealVSSSession(VSSSession):
         if prof.enabled:
             kind = "open_scalar_fallback" if vec is None else "open_batched"
             prof.count("vss", kind, count)
+        values = np.zeros(count, dtype=encoding_dtype(self.scheme.field))
+        ok = np.ones(count, dtype=bool)
         if vec is None:
-            results: list = [None] * count
             pending = range(count)
         else:
             if prof.enabled:
@@ -504,19 +502,20 @@ class IdealVSSSession(VSSSession):
             for sender, column in columns:
                 if self._same_terms(sender, column, block):
                     accepted += column.values == table[:, sender + 1]
-            results = self._elements(table[:, 0])
+            values[:] = table[:, 0]
             pending = np.flatnonzero(accepted <= self.scheme.t).tolist()
         for k in pending:
             try:
-                results[k] = self.verify_and_combine(
+                values[k] = self.verify_and_combine(
                     {sender: column[k] for sender, column in columns},
                     verifier=pid,
-                )
+                ).value
             except ReconstructionError:
                 if strict:
                     raise
-                results[k] = None
-        return results
+                values[k] = 0
+                ok[k] = False
+        return values, ok
 
     def _same_terms(self, sender, column, block: ShareBlock) -> bool:
         """``column`` is ``sender``'s, with exactly the terms of ``block``."""

@@ -44,6 +44,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.fields import FieldElement, Polynomial, interpolate_at
 from repro.network import Program, RoundOutput, SizedPayload
 from repro.sharing import ICPKey, ICPTag, SymmetricBivariate, icp_verify
@@ -56,6 +58,7 @@ from .base import (
     VSSCost,
     VSSScheme,
     VSSSession,
+    secret_array,
 )
 from .costs import RB89_IMPL_COST
 
@@ -143,7 +146,7 @@ class RB89VSSSession(VSSSession):
         self,
         pid: int,
         dealer: int,
-        secrets: Sequence[FieldElement] | None,
+        secrets: np.ndarray | Sequence[FieldElement] | None,
         rng: random.Random,
         count: int = 1,
     ) -> Program:
@@ -161,10 +164,10 @@ class RB89VSSSession(VSSSession):
         if pid == dealer:
             if secrets is None:
                 raise ValueError("dealer must supply secrets")
-            if len(secrets) != count:
-                raise ValueError("secrets/count mismatch")
+            secrets = secret_array(field, secrets, count)
             bivariates = [
-                SymmetricBivariate.random(field, t, s, rng) for s in secrets
+                SymmetricBivariate.random(field, t, FieldElement(field, s), rng)
+                for s in secrets.tolist()
             ]
             rows_by_party = {
                 i: [b.row(i + 1) for b in bivariates] for i in range(n)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Permutation, SparseVector, fresh_tag, make_dart_vector
+from repro.core import (
+    Permutation,
+    SparseVector,
+    fresh_tag,
+    make_dart_vector,
+    validate_permutation_opening,
+)
+from repro.core.layout import encodings
 from repro.fields import gf2k
 
 
@@ -58,14 +65,15 @@ class TestPermutation:
             assert w.pair_at(k) == v.pair_at(pi(k))
 
     def test_field_roundtrip(self, f):
+        """Images dealt as raw field encodings decode to the permutation."""
         rng = random.Random(3)
         p = Permutation.random(12, rng)
-        elements = p.to_field_elements(f)
-        assert Permutation.from_field_elements(elements) == p
+        encoded = encodings(f, p.mapping)
+        assert Permutation(validate_permutation_opening(encoded).tolist()) == p
 
-    def test_from_field_elements_invalid(self, f):
-        assert Permutation.from_field_elements([f(0), f(0)]) is None
-        assert Permutation.from_field_elements([f(5), f(1)]) is None
+    def test_decode_invalid_permutation(self, f):
+        assert validate_permutation_opening(encodings(f, [0, 0])) is None
+        assert validate_permutation_opening(encodings(f, [5, 1])) is None
 
 
 class TestSparseVector:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -15,6 +16,7 @@ from repro.core import (
     validate_index_list_opening,
     validate_permutation_opening,
 )
+from repro.core.layout import encodings
 
 
 @pytest.fixture
@@ -47,6 +49,8 @@ class TestLayout:
         f = params.field
         material = honest_material(params, f(77), rng)
         secrets = layout.build_secrets(material)
+        assert secrets.ndim == 1 and secrets.dtype == np.uint64
+        secrets = secrets.tolist()
         assert len(secrets) == layout.total
         # Vector halves.
         k0 = material.vector.nonzero_indices()[0]
@@ -60,11 +64,28 @@ class TestLayout:
         # Challenge share.
         assert secrets[layout.challenge()] == material.challenge_share
 
+    def test_build_secrets_encodes_out_of_field_entries(self, params, layout):
+        """A hostile prover's entries outside [0, order) are mapped by
+        Field.encode, as Field.element maps them, never dealt raw."""
+        f = params.field
+        material = honest_material(params, f(77), random.Random(6))
+        k0 = material.vector.nonzero_indices()[0]
+        material.vector.entries[k0] = (2**20 + 5, -3)
+        material.index_lists[1][0] = 2**70
+        secrets = layout.build_secrets(material)
+        assert secrets.dtype == np.uint64
+        assert secrets[layout.vec_x(k0)] == f.encode(2**20 + 5)
+        assert secrets[layout.vec_a(k0)] == f.encode(-3)
+        assert secrets[layout.idx(1, 0)] == f.encode(2**70)
+        assert int(secrets.max()) < f.order
+
     def test_receiver_layout(self, params):
         rlayout = ReceiverLayout(params)
         rng = random.Random(1)
         perms = [Permutation.random(params.ell, rng) for _ in range(params.n)]
         secrets = rlayout.build_secrets(perms)
+        assert secrets.ndim == 1 and secrets.dtype == np.uint64
+        secrets = secrets.tolist()
         assert len(secrets) == params.n * params.ell == rlayout.total
         assert secrets[rlayout.g(2, 3)] == params.field(perms[2](3))
 
@@ -123,19 +144,21 @@ class TestStage1:
     def test_validate_permutation(self, params):
         f = params.field
         p = Permutation.random(6, random.Random(0))
-        assert validate_permutation_opening([f(v) for v in p.mapping]) == p
-        assert validate_permutation_opening([f(0), f(0)]) is None
+        decoded = validate_permutation_opening(encodings(f, p.mapping))
+        assert Permutation(decoded.tolist()) == p
+        assert validate_permutation_opening(encodings(f, [0, 0])) is None
 
     def test_validate_index_list(self, params):
         f = params.field
-        good = [f(3), f(1), f(5), f(0)]
-        assert validate_index_list_opening(good, ell=10, d=4) == [3, 1, 5, 0]
+        good = encodings(f, [3, 1, 5, 0])
+        decoded = validate_index_list_opening(good, ell=10, d=4)
+        assert decoded.tolist() == [3, 1, 5, 0]
         # duplicate
-        assert validate_index_list_opening([f(1), f(1), f(2), f(3)], 10, 4) is None
+        assert validate_index_list_opening(encodings(f, [1, 1, 2, 3]), 10, 4) is None
         # out of range
-        assert validate_index_list_opening([f(1), f(2), f(3), f(99)], 10, 4) is None
+        assert validate_index_list_opening(encodings(f, [1, 2, 3, 99]), 10, 4) is None
         # wrong length
-        assert validate_index_list_opening([f(1)], 10, 4) is None
+        assert validate_index_list_opening(encodings(f, [1]), 10, 4) is None
 
 
 class TestStage2EndToEnd:
@@ -179,7 +202,7 @@ class TestStage2EndToEnd:
         # bit 0 branch for check 0
         views = {
             pid: stage2_plan_bit0(
-                layout, 0, material.perms[0], batches[pid].views
+                layout, 0, material.perms[0].mapping, batches[pid].views
             ).views
             for pid in batches
         }
@@ -227,7 +250,7 @@ class TestStage2EndToEnd:
         layout, session, batches = self._shared_views(params, material, seed=2)
         views = {
             pid: stage2_plan_bit0(
-                layout, 0, material.perms[0], batches[pid].views
+                layout, 0, material.perms[0].mapping, batches[pid].views
             ).views
             for pid in batches
         }

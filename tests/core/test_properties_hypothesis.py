@@ -14,7 +14,9 @@ from repro.core import (
     challenge_bits,
     extract_output,
     honest_material,
+    validate_permutation_opening,
 )
+from repro.core.layout import encodings
 from repro.fields import gf2k
 
 from tests.strategies import perm_len, perm_seed, sparse_vectors
@@ -59,7 +61,8 @@ def test_permutation_compose_apply_homomorphism(length, s1, s2):
 def test_permutation_field_encoding_roundtrip(length, seed):
     f = gf2k(16)
     p = Permutation.random(length, random.Random(seed))
-    assert Permutation.from_field_elements(p.to_field_elements(f)) == p
+    decoded = validate_permutation_opening(encodings(f, p.mapping))
+    assert Permutation(decoded.tolist()) == p
 
 
 # -- sparse vectors (shared strategy from tests.strategies) -------------------
@@ -109,20 +112,20 @@ def test_layout_roundtrip_property(seed, d, checks):
     layout = DealerLayout(params)
     rng = random.Random(seed)
     material = honest_material(params, params.field(7), rng)
-    secrets = layout.build_secrets(material)
+    secrets = layout.build_secrets(material).tolist()
     assert len(secrets) == layout.total
     for k in range(params.ell):
         x, a = material.vector.pair_at(k)
-        assert secrets[layout.vec_x(k)].value == x
-        assert secrets[layout.vec_a(k)].value == a
+        assert secrets[layout.vec_x(k)] == x
+        assert secrets[layout.vec_a(k)] == a
     for j in range(checks):
         for k in range(params.ell):
             wx, wa = material.ws[j].pair_at(k)
-            assert secrets[layout.w_x(j, k)].value == wx
-            assert secrets[layout.w_a(j, k)].value == wa
-            assert secrets[layout.perm(j, k)].value == material.perms[j](k)
+            assert secrets[layout.w_x(j, k)] == wx
+            assert secrets[layout.w_a(j, k)] == wa
+            assert secrets[layout.perm(j, k)] == material.perms[j](k)
         for m in range(d):
-            assert secrets[layout.idx(j, m)].value == material.index_lists[j][m]
+            assert secrets[layout.idx(j, m)] == material.index_lists[j][m]
 
 
 # -- challenge bits ------------------------------------------------------------

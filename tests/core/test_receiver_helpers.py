@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -52,9 +53,9 @@ class TestExtraction:
 
     def test_vector_from_opened(self, params):
         f = params.field
-        xs = [f(0)] * params.ell
-        tags = [f(0)] * params.ell
-        xs[3], tags[3] = f(7), f(8)
+        xs = np.zeros(params.ell, dtype=np.uint64)
+        tags = np.zeros(params.ell, dtype=np.uint64)
+        xs[3], tags[3] = 7, 8
         vec = vector_from_opened(f, xs, tags)
         assert vec.pair_at(3) == (7, 8)
         assert len(vec.entries) == 1
@@ -119,4 +120,4 @@ class TestProgramCombinators:
 
         result = run_protocol({pid: party(pid) for pid in range(3)})
         assert result.metrics.rounds == 1
-        assert all(v == [] for v in result.outputs.values())
+        assert all(v.tolist() == [] for v in result.outputs.values())

@@ -12,6 +12,7 @@ Two historic bugs in ``core/anonchan.py``'s receiver branch:
   entirely.
 """
 
+import numpy as np
 import pytest
 
 import repro.core.anonchan as anonchan_mod
@@ -24,25 +25,33 @@ from repro.vss.ideal import IdealVSSSession
 FIELD = gf2k(8)
 
 
+def _opened(values):
+    """A step-4 batch as the VSS layer returns it: encodings and the mask
+    of reconstructed positions (``None`` marks a failed position)."""
+    mask = np.array([v is not None for v in values], dtype=bool)
+    raw = np.array([0 if v is None else v for v in values], dtype=np.uint64)
+    return raw, mask
+
+
 class TestPairOpenedCoordinates:
     def test_even_batch_pairs_and_guards_each_index(self):
-        vals = [FIELD(3), FIELD(5), None, FIELD(7), FIELD(9), None]
-        xs, tags, failed = pair_opened_coordinates(FIELD, vals, 3)
-        assert [x.value for x in xs] == [3, 0, 0]
-        assert [t.value for t in tags] == [5, 0, 0]
+        vals = _opened([3, 5, None, 7, 9, None])
+        xs, tags, failed = pair_opened_coordinates(*vals, 3)
+        assert xs.tolist() == [3, 0, 0]
+        assert tags.tolist() == [5, 0, 0]
         assert failed == 2
 
     def test_odd_batch_raises_instead_of_truncating(self):
         """Pre-fix behavior zeroed the trailing coordinate silently."""
-        vals = [FIELD(3), FIELD(5), FIELD(7)]  # x_1 present, tag_1 missing
+        vals = _opened([3, 5, 7])  # x_1 present, tag_1 missing
         with pytest.raises(ValueError, match="malformed step-4 batch"):
-            pair_opened_coordinates(FIELD, vals, 2)
+            pair_opened_coordinates(*vals, 2)
 
     def test_short_and_long_batches_raise(self):
         with pytest.raises(ValueError):
-            pair_opened_coordinates(FIELD, [FIELD(1), FIELD(2)], 2)
+            pair_opened_coordinates(*_opened([1, 2]), 2)
         with pytest.raises(ValueError):
-            pair_opened_coordinates(FIELD, [FIELD(1)] * 6, 2)
+            pair_opened_coordinates(*_opened([1] * 6), 2)
 
 
 class TestCollectStep4Columns:

@@ -50,7 +50,7 @@ def share_and_open(
             for k, view in enumerate(batch.views):
                 open_views.append(view)
                 labels.append((d, k))
-        values = yield from session.open_program(pid, open_views)
+        values = (yield from session.open_program(pid, open_views)).tolist()
         out = {
             d: (
                 DEALER_DISQUALIFIED
@@ -106,7 +106,7 @@ def sum_across_dealers(scheme, secrets_by_dealer, seed=0):
         ]
         total = combine_views(views)
         values = yield from session.open_program(pid, [total])
-        return values[0]
+        return int(values[0])
 
     programs = {
         pid: party(pid, random.Random(seed * 1000 + pid))

@@ -38,7 +38,7 @@ def _honest_party(session, pid, dealer, secrets, rng, count):
         if batch is DEALER_DISQUALIFIED:
             return DEALER_DISQUALIFIED
         values = yield from session.open_program(pid, batch.views)
-        return values
+        return values.tolist()
 
     return prog()
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.fields import gf2k
@@ -203,10 +204,10 @@ class TestPrivateBatchReconstruction:
         session, columns, views, secrets = self._share_batch(
             scheme, range(70)
         )
-        opened = session.reconstruct_private_batch(
+        opened, ok = session.reconstruct_private_batch(
             columns, count=len(secrets), verifier=0, views=views
         )
-        assert opened == secrets
+        assert ok.all() and opened.tolist() == secrets
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     def test_corrupted_position_yields_none(self, backend):
@@ -218,17 +219,20 @@ class TestPrivateBatchReconstruction:
         for pid in (1, 2):
             sender, terms, value = columns[pid][3]
             columns[pid][3] = (sender, terms, value ^ 1)
-        opened = session.reconstruct_private_batch(
+        opened, ok = session.reconstruct_private_batch(
             columns, count=len(secrets), verifier=0, views=views
         )
-        assert opened == secrets
-        # ...but losing the quorum (3 of 5 forged) only kills position 3.
+        assert ok.all() and opened.tolist() == secrets
+        # ...but losing the quorum (3 of 5 forged) only kills position 3,
+        # which is masked out and holds 0, not the dealt value.
         sender, terms, value = columns[3][3]
         columns[3][3] = (sender, terms, value ^ 1)
-        opened = session.reconstruct_private_batch(
+        opened, ok = session.reconstruct_private_batch(
             columns, count=len(secrets), verifier=0, views=views
         )
-        assert opened[3] is None
+        assert not ok[3] and opened[3] == 0
+        assert np.flatnonzero(~ok).tolist() == [3]
+        opened = opened.tolist()
         assert opened[:3] + opened[4:] == secrets[:3] + secrets[4:]
 
     def test_generic_path_without_views(self):
@@ -236,10 +240,10 @@ class TestPrivateBatchReconstruction:
         session, columns, _views, secrets = self._share_batch(
             scheme, range(10)
         )
-        opened = session.reconstruct_private_batch(
+        opened, ok = session.reconstruct_private_batch(
             columns, count=len(secrets), verifier=0
         )
-        assert opened == secrets
+        assert ok.all() and opened.tolist() == secrets
 
 
 class TestVerification:

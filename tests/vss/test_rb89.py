@@ -33,7 +33,7 @@ def _run_single(scheme, secrets, adversary=None, seed=0):
         if batch is DEALER_DISQUALIFIED:
             return DEALER_DISQUALIFIED
         values = yield from session.open_program(pid, batch.views)
-        return values
+        return values.tolist()
 
     programs = {
         pid: party(pid, random.Random(seed * 91 + pid))

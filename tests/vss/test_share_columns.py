@@ -7,8 +7,9 @@ columns — ``open_program``, ``reconstruct_private_batch`` and the
 receiver's ``collect_step4_columns`` — is fed mutated columns and junk.
 Only two outcomes are allowed: the bad sender's positions are rejected
 (the honest quorum still opens every value exactly), or a strict
-opening without an honest quorum raises ``ReconstructionError``.  Any
-other exception, or a wrong opened value, fails.
+opening without an honest quorum raises ``ReconstructionError`` (a
+private reconstruction masks that position out instead).  Any other
+exception, or a wrong opened value, fails.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ class TestHostileColumns:
         except ReconstructionError:
             assert not all(opens)
         else:
-            assert all(opens) and opened == expected
+            assert all(opens) and opened.tolist() == expected
 
     @SETTINGS
     @given(bad=bad_senders)
@@ -267,13 +268,15 @@ class TestHostileColumns:
         session, blocks, expected = SESSIONS[backend]
         columns = _inbox(session, blocks, 0, bad)
         columns[0] = session.reveal_payloads_batch(0, blocks[0])
-        opened = session.reconstruct_private_batch(
+        opened, ok = session.reconstruct_private_batch(
             columns, count=len(expected), verifier=0, views=blocks[0]
         )
-        assert isinstance(opened, list)
-        assert opened == [
-            want if ok else None
-            for want, ok in zip(expected, _opens(session, blocks, columns))
+        assert isinstance(opened, np.ndarray) and opened.dtype == np.uint64
+        assert ok.dtype == bool
+        opens = _opens(session, blocks, columns)
+        assert ok.tolist() == opens
+        assert opened.tolist() == [
+            want if good else 0 for want, good in zip(expected, opens)
         ]
 
     @SETTINGS
@@ -289,12 +292,13 @@ class TestHostileColumns:
             assert type(sender) is int and 0 < sender < N
             assert len(column) == len(expected)
         collected[0] = session.reveal_payloads_batch(0, blocks[0])
-        opened = session.reconstruct_private_batch(
+        opened, ok = session.reconstruct_private_batch(
             collected, count=len(expected), verifier=0, views=blocks[0]
         )
-        assert opened == [
-            want if ok else None
-            for want, ok in zip(expected, _opens(session, blocks, collected))
+        opens = _opens(session, blocks, collected)
+        assert ok.tolist() == opens
+        assert opened.tolist() == [
+            want if good else 0 for want, good in zip(expected, opens)
         ]
 
 
@@ -307,4 +311,5 @@ def test_honest_opening_is_one_column_per_sender():
     column = session.reveal_payloads_batch(1, blocks[1])
     assert isinstance(column, ShareColumn)
     assert payload_size(column) == payload_size(column.payloads())
-    assert _open(session, blocks[0], 0, _inbox(session, blocks, 0, {})) == expected
+    opened = _open(session, blocks[0], 0, _inbox(session, blocks, 0, {}))
+    assert opened.tolist() == expected

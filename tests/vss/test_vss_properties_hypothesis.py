@@ -21,7 +21,7 @@ def _share_open(scheme, secrets, seed):
             pid, 0, secrets if pid == 0 else None, rng, count=len(secrets)
         )
         values = yield from session.open_program(pid, batch.views)
-        return values
+        return values.tolist()
 
     programs = {
         pid: party(pid, random.Random(seed * 11 + pid))
